@@ -214,6 +214,32 @@ void BM_FuzzOracleProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_FuzzOracleProgram)->Unit(benchmark::kMillisecond);
 
+// One fuzz round (32 programs) as a single lane-parallel oracle batch;
+// `per_program` is the time per program, comparable to BM_FuzzOracleProgram.
+void BM_FuzzOracleBatch32(benchmark::State& state) {
+  const pdat::Netlist& nl = ibex_netlist();
+  const pdat::fuzz::Rv32Generator gen(pdat::isa::rv32_subset_named("rv32imc"));
+  pdat::fuzz::Rv32DiffOracle oracle(gen, nl, nullptr);
+  constexpr std::size_t kBatch = 32;
+  std::uint64_t seed = 1;
+  std::vector<pdat::fuzz::AbsProgram> programs(kBatch);
+  std::vector<const pdat::fuzz::AbsProgram*> batch;
+  for (const auto& p : programs) batch.push_back(&p);
+  for (auto _ : state) {
+    for (auto& p : programs) p = gen.generate(seed++);
+    const auto outs = oracle.run_batch(batch, {});
+    for (const auto& out : outs) {
+      if (out.status == pdat::fuzz::RunOutcome::Status::Diverge)
+        state.SkipWithError("healthy core diverged from the ISS");
+    }
+    benchmark::DoNotOptimize(outs.data());
+  }
+  state.counters["per_program"] = benchmark::Counter(
+      static_cast<double>(kBatch * state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FuzzOracleBatch32)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -9,7 +9,7 @@
 namespace pdat::cores {
 
 Cm0Testbench::Cm0Testbench(const Netlist& nl, std::size_t mem_bytes)
-    : nl_(nl), sim_(nl), mem_(mem_bytes, 0) {
+    : nl_(nl), sim_(nl), lanes_(kLanes, Lane(mem_bytes)) {
   auto in = [&](const char* n) {
     const Port* p = nl_.find_input(n);
     if (p == nullptr) throw PdatError(std::string("cm0 tb: missing input ") + n);
@@ -33,96 +33,129 @@ Cm0Testbench::Cm0Testbench(const Netlist& nl, std::size_t mem_bytes)
   out_reg_wdata_ = out("reg_wdata");
   out_halted_ = out("halted");
   out_flags_ = out("flags");
+  reset();
 }
 
-void Cm0Testbench::load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves) {
+void Cm0Testbench::load_halfwords(unsigned lane, std::uint32_t addr,
+                                  const std::vector<std::uint16_t>& halves) {
+  SparseMemory& mem = lanes_.at(lane).mem;
   for (std::size_t i = 0; i < halves.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(2 * i);
-    mem_[a % mem_.size()] = static_cast<std::uint8_t>(halves[i]);
-    mem_[(a + 1) % mem_.size()] = static_cast<std::uint8_t>(halves[i] >> 8);
+    mem.write8(a, static_cast<std::uint8_t>(halves[i]));
+    mem.write8(a + 1, static_cast<std::uint8_t>(halves[i] >> 8));
   }
+  running_ |= std::uint64_t{1} << lane;
 }
 
 void Cm0Testbench::reset() {
   sim_.reset();
-  reg_writes_.clear();
-  mem_writes_.clear();
+  // Memory inputs restart at 0, so no lane's first evaluation sees the
+  // previous program's last fetch.
+  imem_in_.fill(0);
+  dmem_in_.fill(0);
+  sim_.set_port_per_slot(*in_imem_, imem_in_.data());
+  sim_.set_port_per_slot(*in_dmem_, dmem_in_.data());
+  for (Lane& l : lanes_) {
+    l.mem.clear();
+    l.reg_writes.clear();
+    l.mem_writes.clear();
+    l.flags = 0;
+    l.cycles = 0;
+  }
+  running_ = 0;
 }
 
-void Cm0Testbench::clear_memory() { std::fill(mem_.begin(), mem_.end(), 0); }
-
-bool Cm0Testbench::halted() const { return sim_.read_port(*out_halted_, 0) != 0; }
-
-std::uint32_t Cm0Testbench::fetch_half(std::uint32_t addr) const {
-  std::uint32_t hw = read_word(addr) & 0xffff;
+std::uint32_t Cm0Testbench::fetch_half(unsigned lane, std::uint32_t addr) const {
+  std::uint32_t hw = lanes_[lane].mem.read32(addr) & 0xffff;
   // Chaos hook emulating a decoder fault: corrupt the Rm index of fetched
   // data-processing-register halfwords. The fuzzer's mutation self-check
-  // arms this and must find + shrink the resulting ISS/core divergence.
+  // arms this and must find + shrink the resulting ISS/core divergence. A
+  // counted arming is consumed in lane order within a cycle.
   if ((hw & 0xfc00) == 0x4000 && util::failpoint("cm0_tb.fetch_fault") != 0) hw ^= 1u << 3;
   return hw;
 }
 
-std::uint32_t Cm0Testbench::read_word(std::uint32_t addr) const {
-  std::uint32_t v = 0;
-  for (int k = 0; k < 4; ++k)
-    v |= static_cast<std::uint32_t>(mem_[(addr + static_cast<std::uint32_t>(k)) % mem_.size()])
-         << (8 * k);
-  return v;
-}
-
-bool Cm0Testbench::cycle() {
+std::uint64_t Cm0Testbench::cycle() {
+  const std::uint64_t active = running_;
   sim_.eval();
-  auto imem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
-  const auto dmem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_addr_, 0));
-  sim_.set_port_uniform(*in_imem_, fetch_half(imem_addr));
-  sim_.set_port_uniform(*in_dmem_, read_word(dmem_addr & ~3u));
+  std::uint64_t imem_addr[kLanes], dmem_addr[kLanes];
+  sim_.read_port_per_slot(*out_imem_addr_, imem_addr);
+  sim_.read_port_per_slot(*out_dmem_addr_, dmem_addr);
+  for_each_lane(active, [&](unsigned lane) {
+    imem_in_[lane] = fetch_half(lane, static_cast<std::uint32_t>(imem_addr[lane]));
+    dmem_in_[lane] =
+        lanes_[lane].mem.read32(static_cast<std::uint32_t>(dmem_addr[lane]) & ~3u);
+  });
+  sim_.set_port_per_slot(*in_imem_, imem_in_.data());
+  sim_.set_port_per_slot(*in_dmem_, dmem_in_.data());
   sim_.eval();
   // pop {.., pc} makes the next fetch address depend on the loaded data —
-  // re-serve the instruction word if the address moved and settle again.
-  const auto imem_addr2 = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
-  if (imem_addr2 != imem_addr) {
-    imem_addr = imem_addr2;
-    sim_.set_port_uniform(*in_imem_, fetch_half(imem_addr));
+  // re-serve the instruction word of the lanes whose address moved and
+  // settle again (a lane whose inputs did not change evaluates the same).
+  std::uint64_t imem_addr2[kLanes];
+  sim_.read_port_per_slot(*out_imem_addr_, imem_addr2);
+  std::uint64_t moved = 0;
+  for_each_lane(active, [&](unsigned lane) {
+    if (imem_addr2[lane] != imem_addr[lane]) {
+      imem_in_[lane] = fetch_half(lane, static_cast<std::uint32_t>(imem_addr2[lane]));
+      moved |= std::uint64_t{1} << lane;
+    }
+  });
+  if (moved != 0) {
+    sim_.set_port_per_slot(*in_imem_, imem_in_.data());
     sim_.eval();
   }
-  const bool halted_now = sim_.read_port(*out_halted_, 0) != 0;
-  if (sim_.read_port(*out_reg_we_, 0) != 0) {
-    reg_writes_.push_back({static_cast<unsigned>(sim_.read_port(*out_reg_waddr_, 0)),
-                           static_cast<std::uint32_t>(sim_.read_port(*out_reg_wdata_, 0))});
+  const std::uint64_t halted = sim_.nonzero_slots(*out_halted_) & active;
+  const std::uint64_t reg_we = sim_.nonzero_slots(*out_reg_we_) & active;
+  const std::uint64_t writing = sim_.nonzero_slots(*out_dmem_we_) & active;
+  std::uint64_t waddr[kLanes], rdata[kLanes], be[kLanes], wdata[kLanes];
+  if (reg_we != 0) {
+    sim_.read_port_per_slot(*out_reg_waddr_, waddr);
+    sim_.read_port_per_slot(*out_reg_wdata_, rdata);
   }
-  if (sim_.read_port(*out_dmem_we_, 0) != 0) {
-    const auto be = static_cast<unsigned>(sim_.read_port(*out_dmem_be_, 0));
-    const auto wdata = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_wdata_, 0));
-    const std::uint32_t base = dmem_addr & ~3u;
+  if (writing != 0) {
+    sim_.read_port_per_slot(*out_dmem_be_, be);
+    sim_.read_port_per_slot(*out_dmem_wdata_, wdata);
+  }
+  for_each_lane(reg_we, [&](unsigned lane) {
+    lanes_[lane].reg_writes.push_back(
+        {static_cast<unsigned>(waddr[lane]), static_cast<std::uint32_t>(rdata[lane])});
+  });
+  for_each_lane(writing, [&](unsigned lane) {
+    SparseMemory& mem = lanes_[lane].mem;
+    const std::uint32_t base = static_cast<std::uint32_t>(dmem_addr[lane]) & ~3u;
     unsigned first = 4, count = 0;
     for (unsigned k = 0; k < 4; ++k) {
-      if ((be >> k) & 1) {
-        mem_[(base + k) % mem_.size()] = static_cast<std::uint8_t>(wdata >> (8 * k));
+      if ((be[lane] >> k) & 1) {
+        mem.write8(base + k, static_cast<std::uint8_t>(wdata[lane] >> (8 * k)));
         if (first == 4) first = k;
         ++count;
       }
     }
     std::uint32_t value = 0;
     for (unsigned k = 0; k < count; ++k) {
-      value |= static_cast<std::uint32_t>(mem_[(base + first + k) % mem_.size()]) << (8 * k);
+      value |= static_cast<std::uint32_t>(mem.read8(base + first + k)) << (8 * k);
     }
-    mem_writes_.push_back({base + first, value, count});
-  }
+    lanes_[lane].mem_writes.push_back({base + first, value, count});
+  });
   sim_.latch();
-  return !halted_now;
+  std::uint64_t flags[kLanes];
+  sim_.read_port_per_slot(*out_flags_, flags);
+  for_each_lane(active, [&](unsigned lane) {
+    lanes_[lane].flags = static_cast<unsigned>(flags[lane]);
+    ++lanes_[lane].cycles;
+  });
+  running_ = active & ~halted;
+  return running_;
 }
 
 std::uint64_t Cm0Testbench::run(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
-  while (n < max_cycles) {
+  while (running_ != 0 && n < max_cycles) {
     ++n;
-    if (!cycle()) break;
+    cycle();
   }
   return n;
-}
-
-unsigned Cm0Testbench::final_flags() const {
-  return static_cast<unsigned>(sim_.read_port(*out_flags_, 0));
 }
 
 std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint16_t>& program,
@@ -136,13 +169,12 @@ std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint
   if (iss.undefined()) return "ISS hit an undefined instruction";
 
   Cm0Testbench tb(nl);
-  tb.load_halfwords(0, program);
-  tb.reset();
+  tb.load_halfwords(0, 0, program);
   tb.run(max_cycles);
 
   std::ostringstream os;
   const auto& ra = iss.reg_writes();
-  const auto& rb = tb.reg_writes();
+  const auto& rb = tb.reg_writes(0);
   for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
     if (ra[i].reg != rb[i].reg || ra[i].value != rb[i].value) {
       os << "reg stream diverges at " << i << ": iss r" << ra[i].reg << "=0x" << std::hex
@@ -156,7 +188,7 @@ std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint
     return os.str();
   }
   const auto& ma = iss.mem_writes();
-  const auto& mb = tb.mem_writes();
+  const auto& mb = tb.mem_writes(0);
   for (std::size_t i = 0; i < std::min(ma.size(), mb.size()); ++i) {
     if (ma[i].addr != mb[i].addr || ma[i].value != mb[i].value || ma[i].size != mb[i].size) {
       os << "mem stream diverges at " << i << ": iss [0x" << std::hex << ma[i].addr << "]=0x"
@@ -169,7 +201,7 @@ std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint
     os << "mem stream length: iss " << ma.size() << " core " << mb.size();
     return os.str();
   }
-  const unsigned core_flags = tb.final_flags();
+  const unsigned core_flags = tb.final_flags(0);
   const unsigned iss_flags = (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) |
                              (iss.flag_c() ? 4u : 0) | (iss.flag_v() ? 8u : 0);
   if (core_flags != iss_flags) {

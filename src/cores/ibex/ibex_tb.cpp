@@ -9,7 +9,7 @@
 namespace pdat::cores {
 
 IbexTestbench::IbexTestbench(const Netlist& nl, std::size_t mem_bytes)
-    : nl_(nl), sim_(nl), mem_(mem_bytes, 0) {
+    : nl_(nl), sim_(nl), lanes_(kLanes, Lane(mem_bytes)) {
   auto need_in = [&](const char* n) {
     const Port* p = nl_.find_input(n);
     if (p == nullptr) throw PdatError(std::string("testbench: missing input ") + n);
@@ -34,131 +34,148 @@ IbexTestbench::IbexTestbench(const Netlist& nl, std::size_t mem_bytes)
   out_rd_addr_ = need_out("rd_addr");
   out_rd_wdata_ = need_out("rd_wdata");
   out_halted_ = need_out("halted");
-}
-
-void IbexTestbench::load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words) {
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    const std::uint32_t a = addr + static_cast<std::uint32_t>(4 * i);
-    for (int k = 0; k < 4; ++k) {
-      mem_[(a + static_cast<std::uint32_t>(k)) % mem_.size()] =
-          static_cast<std::uint8_t>(words[i] >> (8 * k));
-    }
-  }
+  reset();
 }
 
 void IbexTestbench::reset() {
   sim_.reset();
-  trace_.clear();
-  retired_ = 0;
-  pending_store_count_ = 0;
-}
-
-void IbexTestbench::clear_memory() { std::fill(mem_.begin(), mem_.end(), 0); }
-
-std::uint32_t IbexTestbench::read_mem_word(std::uint32_t byte_addr) const {
-  std::uint32_t v = 0;
-  for (int k = 0; k < 4; ++k) {
-    v |= static_cast<std::uint32_t>(
-             mem_[(byte_addr + static_cast<std::uint32_t>(k)) % mem_.size()])
-         << (8 * k);
+  // Memory inputs restart at 0, so no lane's first evaluation sees the
+  // previous program's last fetch.
+  imem_in_.fill(0);
+  dmem_in_.fill(0);
+  sim_.set_port_per_slot(*in_imem_, imem_in_.data());
+  sim_.set_port_per_slot(*in_dmem_, dmem_in_.data());
+  for (Lane& l : lanes_) {
+    l.mem.clear();
+    l.trace.clear();
+    l.retired = 0;
+    l.cycles = 0;
+    l.pending_store_count = 0;
   }
-  return v;
+  running_ = 0;
 }
 
-std::uint32_t IbexTestbench::mem_word(std::uint32_t addr) const { return read_mem_word(addr); }
+void IbexTestbench::load_words(unsigned lane, std::uint32_t addr,
+                               const std::vector<std::uint32_t>& words) {
+  SparseMemory& mem = lanes_.at(lane).mem;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::uint32_t a = addr + static_cast<std::uint32_t>(4 * i);
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      mem.write8(a + k, static_cast<std::uint8_t>(words[i] >> (8 * k)));
+    }
+  }
+  running_ |= std::uint64_t{1} << lane;
+}
 
-bool IbexTestbench::cycle() {
-  // Phase 1: evaluate with stale memory inputs to observe the addresses.
+std::uint64_t IbexTestbench::cycle() {
+  const std::uint64_t active = running_;
+  // Phase 1: evaluate with stale memory inputs to observe the addresses
+  // (both are functions of flop state only).
   sim_.eval();
-  const auto imem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
-  const auto dmem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_addr_, 0));
+  std::uint64_t imem_addr[kLanes], dmem_addr[kLanes];
+  sim_.read_port_per_slot(*out_imem_addr_, imem_addr);
+  sim_.read_port_per_slot(*out_dmem_addr_, dmem_addr);
   // Instruction fetch serves the word starting at the (halfword-aligned)
   // PC; the data port serves the aligned word containing the address and
   // the core extracts the selected bytes itself.
-  std::uint32_t iw = read_mem_word(imem_addr);
-  // Chaos hook emulating a decoder fault: corrupt the rs2 index of fetched
-  // R-type OP words. The fuzzer's mutation self-check arms this and must
-  // find + shrink the resulting ISS/core divergence.
-  if ((iw & 0x7f) == 0x33 && util::failpoint("ibex_tb.fetch_fault") != 0) iw ^= 1u << 20;
-  sim_.set_port_uniform(*in_imem_, iw);
-  sim_.set_port_uniform(*in_dmem_, read_mem_word(dmem_addr & ~3u));
+  for_each_lane(active, [&](unsigned lane) {
+    const SparseMemory& mem = lanes_[lane].mem;
+    std::uint32_t iw = mem.read32(static_cast<std::uint32_t>(imem_addr[lane]));
+    // Chaos hook emulating a decoder fault: corrupt the rs2 index of fetched
+    // R-type OP words. The fuzzer's mutation self-check arms this and must
+    // find + shrink the resulting ISS/core divergence. A counted arming is
+    // consumed in lane order within a cycle.
+    if ((iw & 0x7f) == 0x33 && util::failpoint("ibex_tb.fetch_fault") != 0) iw ^= 1u << 20;
+    imem_in_[lane] = iw;
+    dmem_in_[lane] = mem.read32(static_cast<std::uint32_t>(dmem_addr[lane]) & ~3u);
+  });
+  sim_.set_port_per_slot(*in_imem_, imem_in_.data());
+  sim_.set_port_per_slot(*in_dmem_, dmem_in_.data());
   // Phase 2: evaluate with memory data present, then observe side effects.
   sim_.eval();
-  const bool halted_now = sim_.read_port(*out_halted_, 0) != 0;
-  const bool retiring = sim_.read_port(*out_retire_, 0) != 0;
+  const std::uint64_t halted = sim_.nonzero_slots(*out_halted_) & active;
+  const std::uint64_t retiring = sim_.nonzero_slots(*out_retire_) & active;
+  const std::uint64_t writing = sim_.nonzero_slots(*out_dmem_we_) & active;
+  const std::uint64_t rd_we = sim_.nonzero_slots(*out_rd_we_) & retiring;
+  std::uint64_t be[kLanes], wdata[kLanes], retire_pc[kLanes], rd_addr[kLanes], rd_wdata[kLanes];
+  if (writing != 0) {
+    sim_.read_port_per_slot(*out_dmem_be_, be);
+    sim_.read_port_per_slot(*out_dmem_wdata_, wdata);
+  }
+  if (retiring != 0) sim_.read_port_per_slot(*out_retire_pc_, retire_pc);
+  if (rd_we != 0) {
+    sim_.read_port_per_slot(*out_rd_addr_, rd_addr);
+    sim_.read_port_per_slot(*out_rd_wdata_, rd_wdata);
+  }
 
-  // Apply any data-memory write this cycle (crossing accesses write in two
-  // cycles; only the second one retires).
-  bool wrote = false;
-  std::uint32_t wr_first = 0;
-  unsigned wr_count = 0;
-  if (sim_.read_port(*out_dmem_we_, 0) != 0) {
-    const auto be = static_cast<unsigned>(sim_.read_port(*out_dmem_be_, 0));
-    const auto wdata = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_wdata_, 0));
-    const std::uint32_t word_base = dmem_addr & ~3u;
-    unsigned first = 4;
-    for (unsigned k = 0; k < 4; ++k) {
-      if ((be >> k) & 1) {
-        mem_[(word_base + k) % mem_.size()] = static_cast<std::uint8_t>(wdata >> (8 * k));
-        if (first == 4) first = k;
-        ++wr_count;
+  for_each_lane(writing | retiring, [&](unsigned lane) {
+    const std::uint64_t bit = std::uint64_t{1} << lane;
+    Lane& l = lanes_[lane];
+    // Apply any data-memory write this cycle (crossing accesses write in two
+    // cycles; only the second one retires).
+    std::uint32_t wr_first = 0;
+    unsigned wr_count = 0;
+    if ((writing & bit) != 0) {
+      const std::uint32_t word_base = static_cast<std::uint32_t>(dmem_addr[lane]) & ~3u;
+      unsigned first = 4;
+      for (unsigned k = 0; k < 4; ++k) {
+        if ((be[lane] >> k) & 1) {
+          l.mem.write8(word_base + k, static_cast<std::uint8_t>(wdata[lane] >> (8 * k)));
+          if (first == 4) first = k;
+          ++wr_count;
+        }
+      }
+      wr_first = word_base + first;
+      if ((retiring & bit) == 0) {
+        // First half of a crossing store: remember it for the retiring half.
+        l.pending_store_addr = wr_first;
+        l.pending_store_count = wr_count;
+        return;
       }
     }
-    wr_first = word_base + first;
-    wrote = true;
-  }
-  if (wrote && !retiring) {
-    // First half of a crossing store: remember it for the retiring half.
-    pending_store_addr_ = wr_first;
-    pending_store_count_ = wr_count;
-  }
 
-  if (retiring) {
-    ++retired_;
+    ++l.retired;
     iss::Rv32Iss::TraceEntry te;
-    te.pc = static_cast<std::uint32_t>(sim_.read_port(*out_retire_pc_, 0));
+    te.pc = static_cast<std::uint32_t>(retire_pc[lane]);
     bool any = false;
-    if (sim_.read_port(*out_rd_we_, 0) != 0) {
-      te.rd = static_cast<unsigned>(sim_.read_port(*out_rd_addr_, 0));
-      te.rd_value = static_cast<std::uint32_t>(sim_.read_port(*out_rd_wdata_, 0));
+    if ((rd_we & bit) != 0) {
+      te.rd = static_cast<unsigned>(rd_addr[lane]);
+      te.rd_value = static_cast<std::uint32_t>(rd_wdata[lane]);
       any = te.rd != 0;
     }
-    if (wrote) {
+    if ((writing & bit) != 0) {
       te.mem_write = true;
       std::uint32_t addr = wr_first;
       unsigned count = wr_count;
-      if (pending_store_count_ != 0) {
-        addr = pending_store_addr_;
-        count += pending_store_count_;
-        pending_store_count_ = 0;
+      if (l.pending_store_count != 0) {
+        addr = l.pending_store_addr;
+        count += l.pending_store_count;
+        l.pending_store_count = 0;
       }
       te.mem_addr = addr;
       te.mem_size = count;
       std::uint32_t value = 0;
       for (unsigned k = 0; k < count; ++k) {
-        value |= static_cast<std::uint32_t>(mem_[(addr + k) % mem_.size()]) << (8 * k);
+        value |= static_cast<std::uint32_t>(l.mem.read8(addr + k)) << (8 * k);
       }
       te.mem_value = value;
       any = true;
     }
-    if (any) trace_.push_back(te);
-  }
+    if (any) l.trace.push_back(te);
+  });
   sim_.latch();
-  return !halted_now;
+  for_each_lane(active, [&](unsigned lane) { ++lanes_[lane].cycles; });
+  running_ = active & ~halted;
+  return running_;
 }
 
 std::uint64_t IbexTestbench::run(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
-  while (n < max_cycles) {
+  while (running_ != 0 && n < max_cycles) {
     ++n;
-    if (!cycle()) break;
+    cycle();
   }
   return n;
-}
-
-bool IbexTestbench::halted() const {
-  // Note: reads the last evaluated value.
-  return sim_.read_port(*out_halted_, 0) != 0;
 }
 
 std::string cosim_against_iss(const Netlist& nl, const std::vector<std::uint32_t>& program,
@@ -171,12 +188,11 @@ std::string cosim_against_iss(const Netlist& nl, const std::vector<std::uint32_t
   if (!iss.halted()) return "ISS did not halt within the cycle limit";
 
   IbexTestbench tb(nl);
-  tb.load_words(0, program);
-  tb.reset();
+  tb.load_words(0, 0, program);
   tb.run(max_cycles);
 
   const auto& a = iss.trace();
-  const auto& b = tb.trace();
+  const auto& b = tb.trace(0);
   std::ostringstream os;
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <sstream>
 
 #include "base/types.h"
@@ -11,17 +12,6 @@ void CoverageMap::init(std::size_t nets) {
   nets_ = nets;
   seen0_.assign((nets + 63) / 64, 0);
   seen1_.assign((nets + 63) / 64, 0);
-}
-
-void CoverageMap::record(const BitSim& sim) {
-  for (std::size_t n = 0; n < nets_; ++n) {
-    const std::uint64_t bit = 1ull << (n % 64);
-    if ((sim.value(static_cast<NetId>(n)) & 1) != 0) {
-      seen1_[n / 64] |= bit;
-    } else {
-      seen0_[n / 64] |= bit;
-    }
-  }
 }
 
 std::size_t CoverageMap::merge_count_new(const CoverageMap& o) {
@@ -40,6 +30,44 @@ std::size_t CoverageMap::covered() const {
   for (const std::uint64_t w : seen0_) total += static_cast<std::size_t>(__builtin_popcountll(w));
   for (const std::uint64_t w : seen1_) total += static_cast<std::size_t>(__builtin_popcountll(w));
   return total;
+}
+
+// --- LaneCoverage ------------------------------------------------------------
+
+void LaneCoverage::init(std::size_t nets) {
+  nets_ = nets;
+  const std::size_t padded = (nets + 63) / 64 * 64;
+  seen0_.assign(padded, 0);
+  seen1_.assign(padded, 0);
+}
+
+void LaneCoverage::record(const BitSim& sim, std::uint64_t lanes) {
+  for (std::size_t n = 0; n < nets_; ++n) {
+    const std::uint64_t v = sim.value(static_cast<NetId>(n));
+    seen1_[n] |= v & lanes;
+    seen0_[n] |= ~v & lanes;
+  }
+}
+
+void LaneCoverage::or_into(const std::vector<CoverageMap*>& maps) const {
+  if (maps.size() > BitSim::kLanes) throw PdatError("LaneCoverage: more maps than lanes");
+  for (const CoverageMap* m : maps) {
+    if (m != nullptr && m->nets_ != nets_) throw PdatError("LaneCoverage: map size mismatch");
+  }
+  // Rows of a 64x64 block are nets 64w..64w+63 and columns are lanes;
+  // transposed, row i is word w of lane i's map.
+  std::uint64_t zeros[BitSim::kLanes], ones[BitSim::kLanes];
+  for (std::size_t w = 0; 64 * w < nets_; ++w) {
+    std::copy_n(seen0_.begin() + static_cast<std::ptrdiff_t>(64 * w), 64, zeros);
+    std::copy_n(seen1_.begin() + static_cast<std::ptrdiff_t>(64 * w), 64, ones);
+    transpose64(zeros);
+    transpose64(ones);
+    for (std::size_t lane = 0; lane < maps.size(); ++lane) {
+      if (maps[lane] == nullptr) continue;
+      maps[lane]->seen0_[w] |= zeros[lane];
+      maps[lane]->seen1_[w] |= ones[lane];
+    }
+  }
 }
 
 // --- program serialization ---------------------------------------------------

@@ -62,15 +62,12 @@ struct AbsOp {
 using AbsProgram = std::vector<AbsOp>;
 
 // --- gate toggle coverage ----------------------------------------------------
-// Two bits per net: the net was observed at 0 / at 1 in simulation slot 0.
+// Two bits per net: the net was observed at 0 / at 1 while the program ran.
 
 class CoverageMap {
  public:
   void init(std::size_t nets);
   std::size_t nets() const { return nets_; }
-
-  /// Records slot-0 values of every net after an eval.
-  void record(const BitSim& sim);
 
   /// Merges `o` into this map; returns how many (net, polarity) pairs were
   /// newly covered.
@@ -80,8 +77,28 @@ class CoverageMap {
   std::size_t covered() const;
 
  private:
+  friend class LaneCoverage;
   std::size_t nets_ = 0;
   std::vector<std::uint64_t> seen0_, seen1_;
+};
+
+/// Toggle coverage of one simulation pass, every lane at once: bit `lane` of
+/// a net's word is set once the net was observed at that polarity in that
+/// lane. Each lane runs its own program, so after the pass the accumulator
+/// is transposed into one CoverageMap per program.
+class LaneCoverage {
+ public:
+  /// Empties the accumulator for a pass over a netlist of `nets` nets.
+  void init(std::size_t nets);
+  /// Records every net's value in the lanes of `lanes` after an eval.
+  void record(const BitSim& sim, std::uint64_t lanes);
+  /// ORs lane i's observations into *maps[i] for every non-null maps[i]
+  /// (at most 64 maps, each of init(nets) size).
+  void or_into(const std::vector<CoverageMap*>& maps) const;
+
+ private:
+  std::size_t nets_ = 0;
+  std::vector<std::uint64_t> seen0_, seen1_;  // per net, padded to a multiple of 64
 };
 
 // --- generators --------------------------------------------------------------
@@ -127,15 +144,24 @@ struct RunOutcome {
   std::uint64_t cycles = 0;
 };
 
-/// Differential oracle: runs one program through ISS + baseline core
-/// (+ reduced core when configured) and reports the first divergence.
+/// Differential oracle: runs programs through ISS + baseline core
+/// (+ reduced core when configured) and reports each one's first divergence.
 /// Stateful (owns testbenches) — one oracle per worker thread.
 class Oracle {
  public:
+  /// Programs one run_batch() call takes at most: one per simulation lane.
+  static constexpr std::size_t kMaxBatch = BitSim::kLanes;
+
   virtual ~Oracle() = default;
   /// Nets of the coverage target (the reduced core when present).
   virtual std::size_t coverage_nets() const = 0;
-  virtual RunOutcome run(const AbsProgram& p, CoverageMap* cov) = 0;
+  /// Runs programs[i] in simulation lane i of one pass per core and ORs its
+  /// toggle coverage into *covs[i] (covs empty, or covs[i] null: none).
+  /// Each outcome is the one the program gets when run alone.
+  virtual std::vector<RunOutcome> run_batch(const std::vector<const AbsProgram*>& programs,
+                                            const std::vector<CoverageMap*>& covs) = 0;
+  /// One program: a batch of one.
+  RunOutcome run(const AbsProgram& p, CoverageMap* cov) { return run_batch({&p}, {cov})[0]; }
 };
 
 // --- the fuzzing loop --------------------------------------------------------

@@ -4,6 +4,7 @@
 // round-start corpus snapshot, workers execute disjoint job slots, and
 // results merge in job-index order — so scheduling, corpus growth, and
 // shrinking are identical at any thread count.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -103,29 +104,44 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
     std::vector<JobResult> results(round);
 
     // Each job is a pure function of its derived seed and the round-start
-    // corpus snapshot; `corpus` is not touched until the merge below.
-    auto run_slot = [&](std::size_t slot, Oracle& oracle) {
-      Rng rng(util::derive_seed(opt.seed, next_job + slot));
-      JobResult& r = results[slot];
-      if (!corpus.empty() && rng.chance(128)) {
-        r.program = target.gen->mutate(corpus[rng.below(corpus.size())], rng.next());
-      } else {
-        r.program = target.gen->generate(rng.next());
+    // corpus snapshot; `corpus` is not touched until the merge below. A
+    // worker runs its stripe of slots as one oracle batch (one simulation
+    // lane per job), which lane independence keeps invisible in the results.
+    auto run_stripe = [&](std::size_t t, Oracle& oracle) {
+      std::vector<const AbsProgram*> programs;
+      std::vector<CoverageMap*> covs;
+      std::vector<std::size_t> slots;
+      for (std::size_t slot = t; slot < round; slot += oracles.size()) {
+        Rng rng(util::derive_seed(opt.seed, next_job + slot));
+        JobResult& r = results[slot];
+        if (!corpus.empty() && rng.chance(128)) {
+          r.program = target.gen->mutate(corpus[rng.below(corpus.size())], rng.next());
+        } else {
+          r.program = target.gen->generate(rng.next());
+        }
+        r.cov.init(oracle.coverage_nets());
+        programs.push_back(&r.program);
+        covs.push_back(&r.cov);
+        slots.push_back(slot);
       }
-      r.cov.init(oracle.coverage_nets());
-      r.outcome = oracle.run(r.program, &r.cov);
+      for (std::size_t b = 0; b < slots.size(); b += Oracle::kMaxBatch) {
+        const std::size_t e = std::min(slots.size(), b + Oracle::kMaxBatch);
+        const std::vector<RunOutcome> outs = oracle.run_batch(
+            {programs.begin() + static_cast<std::ptrdiff_t>(b),
+             programs.begin() + static_cast<std::ptrdiff_t>(e)},
+            {covs.begin() + static_cast<std::ptrdiff_t>(b),
+             covs.begin() + static_cast<std::ptrdiff_t>(e)});
+        for (std::size_t i = b; i < e; ++i) results[slots[i]].outcome = outs[i - b];
+      }
     };
 
     if (oracles.size() == 1) {
-      for (std::size_t slot = 0; slot < round; ++slot) run_slot(slot, *oracles[0]);
+      run_stripe(0, *oracles[0]);
     } else {
       std::vector<std::thread> pool;
       pool.reserve(oracles.size());
       for (std::size_t t = 0; t < oracles.size(); ++t) {
-        pool.emplace_back([&, t] {
-          for (std::size_t slot = t; slot < round; slot += oracles.size())
-            run_slot(slot, *oracles[t]);
-        });
+        pool.emplace_back([&, t] { run_stripe(t, *oracles[t]); });
       }
       for (std::thread& th : pool) th.join();
     }

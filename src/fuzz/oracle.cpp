@@ -1,8 +1,11 @@
 #include "fuzz/oracle.h"
 
+#include <algorithm>
 #include <sstream>
 
+#include "base/types.h"
 #include "netlist/netlist.h"
+#include "trace/trace.h"
 
 namespace pdat::fuzz {
 namespace {
@@ -40,10 +43,18 @@ std::string compare_rv32(const std::vector<iss::Rv32Iss::TraceEntry>& a,
   return {};
 }
 
-std::string compare_thumb(const iss::ThumbIss& iss, const cores::Cm0Testbench& tb) {
+/// What the ISS did with one Thumb program, kept for the comparison after
+/// the gate-level pass (the ISS itself is freed right away).
+struct ThumbGolden {
+  std::vector<iss::ThumbIss::RegWrite> reg_writes;
+  std::vector<iss::ThumbIss::MemWrite> mem_writes;
+  unsigned flags = 0;  // NZCV packed as bits 3..0
+};
+
+std::string compare_thumb(const ThumbGolden& iss, const cores::Cm0Testbench& tb, unsigned lane) {
   std::ostringstream os;
-  const auto& ra = iss.reg_writes();
-  const auto& rb = tb.reg_writes();
+  const auto& ra = iss.reg_writes;
+  const auto& rb = tb.reg_writes(lane);
   for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
     if (ra[i].reg != rb[i].reg || ra[i].value != rb[i].value) {
       os << "reg stream entry " << i << ": iss r" << ra[i].reg << "=0x" << std::hex
@@ -56,8 +67,8 @@ std::string compare_thumb(const iss::ThumbIss& iss, const cores::Cm0Testbench& t
     os << "reg stream length: iss " << ra.size() << " core " << rb.size();
     return os.str();
   }
-  const auto& ma = iss.mem_writes();
-  const auto& mb = tb.mem_writes();
+  const auto& ma = iss.mem_writes;
+  const auto& mb = tb.mem_writes(lane);
   for (std::size_t i = 0; i < std::min(ma.size(), mb.size()); ++i) {
     if (ma[i].addr != mb[i].addr || ma[i].value != mb[i].value || ma[i].size != mb[i].size) {
       os << "mem stream entry " << i << ": iss [0x" << std::hex << ma[i].addr << "]=0x"
@@ -70,14 +81,69 @@ std::string compare_thumb(const iss::ThumbIss& iss, const cores::Cm0Testbench& t
     os << "mem stream length: iss " << ma.size() << " core " << mb.size();
     return os.str();
   }
-  const unsigned core_flags = tb.final_flags();
-  const unsigned iss_flags = (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) |
-                             (iss.flag_c() ? 4u : 0) | (iss.flag_v() ? 8u : 0);
-  if (core_flags != iss_flags) {
-    os << "final flags: iss " << iss_flags << " core " << core_flags;
+  const unsigned core_flags = tb.final_flags(lane);
+  if (core_flags != iss.flags) {
+    os << "final flags: iss " << iss.flags << " core " << core_flags;
     return os.str();
   }
   return {};
+}
+
+void check_batch(const std::vector<const AbsProgram*>& programs,
+                 const std::vector<CoverageMap*>& covs) {
+  if (programs.size() > Oracle::kMaxBatch)
+    throw PdatError("oracle: batch larger than the simulation lane count");
+  if (!covs.empty() && covs.size() != programs.size())
+    throw PdatError("oracle: one coverage map per program expected");
+}
+
+bool any_coverage(const std::vector<CoverageMap*>& covs) {
+  return std::any_of(covs.begin(), covs.end(), [](const CoverageMap* c) { return c != nullptr; });
+}
+
+/// Runs the `live` lanes through `tb` in one simulation pass: `load(tb,
+/// lane)` writes a lane's program, every lane stops at its halt or at
+/// kTbCycles, and `diff(tb, lane)` compares a halted lane with its ISS run.
+/// Lanes that end Inconclusive or Diverge leave `live`. With `cov` set, the
+/// pass's toggle coverage is ORed into covs[lane].
+template <class Tb, class Load, class Diff>
+void run_pass(Tb& tb, const char* label, std::uint64_t& live, std::vector<RunOutcome>& out,
+              LaneCoverage* cov, const std::vector<CoverageMap*>& covs, Load load, Diff diff) {
+  if (live == 0) return;
+  tb.reset();
+  for_each_lane(live, [&](unsigned lane) { load(tb, lane); });
+  if (cov != nullptr) cov->init(tb.sim().netlist().num_nets());
+  std::uint64_t pass_cycles = 0;
+  while (tb.running() != 0 && pass_cycles < kTbCycles) {
+    const std::uint64_t ran = tb.running();
+    tb.cycle();
+    if (cov != nullptr) cov->record(tb.sim(), ran);
+    ++pass_cycles;
+  }
+  std::uint64_t lane_cycles = 0;
+  const std::uint64_t capped = tb.running();
+  for_each_lane(live, [&](unsigned lane) {
+    const std::uint64_t bit = std::uint64_t{1} << lane;
+    RunOutcome& o = out[lane];
+    o.cycles += tb.cycles(lane);
+    lane_cycles += tb.cycles(lane);
+    if ((capped & bit) != 0) {
+      o.status = RunOutcome::Status::Inconclusive;
+      o.detail = std::string(label) + ": did not halt";
+      live &= ~bit;
+      return;
+    }
+    const std::string d = diff(tb, lane);
+    if (!d.empty()) {
+      o.status = RunOutcome::Status::Diverge;
+      o.detail = std::string(label) + ": " + d;
+      live &= ~bit;
+    }
+  });
+  if (cov != nullptr) cov->or_into(covs);
+  trace::add(trace::Counter::FuzzSimPasses, 1);
+  trace::add(trace::Counter::FuzzPassCycles, pass_cycles);
+  trace::add(trace::Counter::FuzzLaneCycles, lane_cycles);
 }
 
 }  // namespace
@@ -91,53 +157,36 @@ Rv32DiffOracle::Rv32DiffOracle(const Rv32Generator& gen, const Netlist& baseline
       red_tb_(reduced ? std::make_unique<cores::IbexTestbench>(*reduced) : nullptr),
       cov_nets_(reduced ? reduced->num_nets() : baseline.num_nets()) {}
 
-RunOutcome Rv32DiffOracle::run(const AbsProgram& p, CoverageMap* cov) {
-  const std::vector<std::uint32_t> words = gen_.encode_units(p);
-
-  iss::Rv32Iss iss;
-  iss.load_words(0, words);
-  iss.reset();
-  iss.set_tracing(true);
-  iss.run(kIssSteps);
-
-  RunOutcome out;
-  if (!iss.halted()) {
-    out.status = RunOutcome::Status::Inconclusive;
-    out.detail = "iss: did not halt";
-    return out;
+std::vector<RunOutcome> Rv32DiffOracle::run_batch(const std::vector<const AbsProgram*>& programs,
+                                                  const std::vector<CoverageMap*>& covs) {
+  check_batch(programs, covs);
+  std::vector<RunOutcome> out(programs.size());
+  std::vector<std::vector<std::uint32_t>> words(programs.size());
+  std::vector<std::vector<iss::Rv32Iss::TraceEntry>> golden(programs.size());
+  std::uint64_t live = 0;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    words[i] = gen_.encode_units(*programs[i]);
+    iss::Rv32Iss iss;
+    iss.load_words(0, words[i]);
+    iss.reset();
+    iss.set_tracing(true);
+    iss.run(kIssSteps);
+    if (!iss.halted()) {
+      out[i].status = RunOutcome::Status::Inconclusive;
+      out[i].detail = "iss: did not halt";
+      continue;
+    }
+    golden[i] = iss.trace();
+    live |= std::uint64_t{1} << i;
   }
 
-  auto run_tb = [&](cores::IbexTestbench& tb, const char* label,
-                    bool coverage_target) -> std::string {
-    tb.clear_memory();
-    tb.load_words(0, words);
-    tb.reset();
-    bool running = true;
-    std::uint64_t cycles = 0;
-    while (running && cycles < kTbCycles) {
-      running = tb.cycle();
-      if (coverage_target && cov != nullptr) cov->record(tb.sim());
-      ++cycles;
-    }
-    out.cycles += cycles;
-    if (running) {
-      out.status = RunOutcome::Status::Inconclusive;
-      return std::string(label) + ": did not halt";
-    }
-    const std::string diff = compare_rv32(iss.trace(), tb.trace());
-    if (!diff.empty()) {
-      out.status = RunOutcome::Status::Diverge;
-      return std::string(label) + ": " + diff;
-    }
-    return {};
+  auto load = [&](cores::IbexTestbench& tb, unsigned lane) { tb.load_words(lane, 0, words[lane]); };
+  auto diff = [&](const cores::IbexTestbench& tb, unsigned lane) {
+    return compare_rv32(golden[lane], tb.trace(lane));
   };
-
-  out.detail = run_tb(base_tb_, "baseline", red_tb_ == nullptr);
-  if (!out.detail.empty()) return out;
-  if (red_tb_) {
-    out.detail = run_tb(*red_tb_, "reduced", true);
-    if (!out.detail.empty()) return out;
-  }
+  LaneCoverage* cov = any_coverage(covs) ? &lane_cov_ : nullptr;
+  run_pass(base_tb_, "baseline", live, out, red_tb_ ? nullptr : cov, covs, load, diff);
+  if (red_tb_) run_pass(*red_tb_, "reduced", live, out, cov, covs, load, diff);
   return out;
 }
 
@@ -150,55 +199,42 @@ ThumbDiffOracle::ThumbDiffOracle(const ThumbGenerator& gen, const Netlist& basel
       red_tb_(reduced ? std::make_unique<cores::Cm0Testbench>(*reduced) : nullptr),
       cov_nets_(reduced ? reduced->num_nets() : baseline.num_nets()) {}
 
-RunOutcome ThumbDiffOracle::run(const AbsProgram& p, CoverageMap* cov) {
-  const std::vector<std::uint32_t> units = gen_.encode_units(p);
-  std::vector<std::uint16_t> halves(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) halves[i] = static_cast<std::uint16_t>(units[i]);
-
-  iss::ThumbIss iss;
-  iss.load_halfwords(0, halves);
-  iss.reset();
-  iss.set_tracing(true);
-  iss.run(kIssSteps);
-
-  RunOutcome out;
-  if (!iss.halted()) {
-    out.status = RunOutcome::Status::Inconclusive;
-    out.detail = "iss: did not halt";
-    return out;
+std::vector<RunOutcome> ThumbDiffOracle::run_batch(const std::vector<const AbsProgram*>& programs,
+                                                   const std::vector<CoverageMap*>& covs) {
+  check_batch(programs, covs);
+  std::vector<RunOutcome> out(programs.size());
+  std::vector<std::vector<std::uint16_t>> halves(programs.size());
+  std::vector<ThumbGolden> golden(programs.size());
+  std::uint64_t live = 0;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    for (const std::uint32_t u : gen_.encode_units(*programs[i]))
+      halves[i].push_back(static_cast<std::uint16_t>(u));
+    iss::ThumbIss iss;
+    iss.load_halfwords(0, halves[i]);
+    iss.reset();
+    iss.set_tracing(true);
+    iss.run(kIssSteps);
+    if (!iss.halted()) {
+      out[i].status = RunOutcome::Status::Inconclusive;
+      out[i].detail = "iss: did not halt";
+      continue;
+    }
+    golden[i].reg_writes = iss.reg_writes();
+    golden[i].mem_writes = iss.mem_writes();
+    golden[i].flags = (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) |
+                      (iss.flag_c() ? 4u : 0) | (iss.flag_v() ? 8u : 0);
+    live |= std::uint64_t{1} << i;
   }
 
-  auto run_tb = [&](cores::Cm0Testbench& tb, const char* label,
-                    bool coverage_target) -> std::string {
-    tb.clear_memory();
-    tb.load_halfwords(0, halves);
-    tb.reset();
-    bool running = true;
-    std::uint64_t cycles = 0;
-    while (running && cycles < kTbCycles) {
-      running = tb.cycle();
-      if (coverage_target && cov != nullptr) cov->record(tb.sim());
-      ++cycles;
-    }
-    out.cycles += cycles;
-    if (running) {
-      out.status = RunOutcome::Status::Inconclusive;
-      return std::string(label) + ": did not halt";
-    }
-    const std::string diff = compare_thumb(iss, tb);
-    if (!diff.empty()) {
-      out.status = RunOutcome::Status::Diverge;
-      return std::string(label) + ": " + diff;
-    }
-    return {};
+  auto load = [&](cores::Cm0Testbench& tb, unsigned lane) {
+    tb.load_halfwords(lane, 0, halves[lane]);
   };
-
-  out.detail = run_tb(base_tb_, "baseline", red_tb_ == nullptr);
-  if (!out.detail.empty()) return out;
-  if (red_tb_) {
-    out.detail = run_tb(*red_tb_, "reduced", true);
-    if (!out.detail.empty()) return out;
-  }
+  auto diff = [&](const cores::Cm0Testbench& tb, unsigned lane) {
+    return compare_thumb(golden[lane], tb, lane);
+  };
+  LaneCoverage* cov = any_coverage(covs) ? &lane_cov_ : nullptr;
+  run_pass(base_tb_, "baseline", live, out, red_tb_ ? nullptr : cov, covs, load, diff);
+  if (red_tb_) run_pass(*red_tb_, "reduced", live, out, cov, covs, load, diff);
   return out;
 }
 

@@ -1,6 +1,23 @@
 #include "sim/bitsim.h"
 
+#include <algorithm>
+
+#include "base/types.h"
+
 namespace pdat {
+
+void transpose64(std::uint64_t a[64]) {
+  // Recursive block swap: exchange the off-diagonal j x j blocks of every
+  // 2j x 2j block, for j = 32, 16, ..., 1.
+  std::uint64_t m = 0x00000000ffffffffULL;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
 
 BitSim::BitSim(const Netlist& nl) : nl_(nl), lv_(levelize(nl)) {
   vals_.assign(nl.num_nets(), 0);
@@ -25,12 +42,11 @@ void BitSim::set_port_uniform(const Port& port, std::uint64_t value) {
 }
 
 void BitSim::set_port_per_slot(const Port& port, const std::uint64_t* values) {
+  std::uint64_t m[kLanes];
+  std::copy(values, values + kLanes, m);
+  transpose64(m);
   for (std::size_t bit = 0; bit < port.bits.size(); ++bit) {
-    std::uint64_t word = 0;
-    for (int slot = 0; slot < 64; ++slot) {
-      word |= ((values[slot] >> bit) & 1ULL) << slot;
-    }
-    vals_[port.bits[bit]] = word;
+    vals_[port.bits[bit]] = bit < kLanes ? m[bit] : 0;
   }
 }
 
@@ -61,6 +77,19 @@ std::uint64_t BitSim::read_port(const Port& port, int slot) const {
     v |= ((vals_[port.bits[i]] >> slot) & 1ULL) << i;
   }
   return v;
+}
+
+void BitSim::read_port_per_slot(const Port& port, std::uint64_t* values) const {
+  if (port.bits.size() > kLanes) throw PdatError("read_port_per_slot: port wider than 64 bits");
+  std::fill(values, values + kLanes, 0);
+  for (std::size_t i = 0; i < port.bits.size(); ++i) values[i] = vals_[port.bits[i]];
+  transpose64(values);
+}
+
+std::uint64_t BitSim::nonzero_slots(const Port& port) const {
+  std::uint64_t any = 0;
+  for (const NetId n : port.bits) any |= vals_[n];
+  return any;
 }
 
 void BitSim::set_flop_state(CellId flop, std::uint64_t word) {

@@ -6,6 +6,7 @@
 // simulation), counterexample filtering, and netlist co-simulation.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -14,8 +15,21 @@
 
 namespace pdat {
 
+/// Calls f(slot) for every set bit of `slots`, lowest slot first.
+template <class F>
+void for_each_lane(std::uint64_t slots, F&& f) {
+  for (; slots != 0; slots &= slots - 1) f(static_cast<unsigned>(std::countr_zero(slots)));
+}
+
+/// Transposes a 64x64 bit matrix in place: bit j of a[i] swaps with bit i
+/// of a[j]. Converts between per-bit lane words and per-lane values.
+void transpose64(std::uint64_t a[64]);
+
 class BitSim {
  public:
+  /// Simulation slots ("lanes"): one per bit of a net's word.
+  static constexpr unsigned kLanes = 64;
+
   explicit BitSim(const Netlist& nl);
 
   /// Resets all flops to their init values (X treated as 0) in every slot.
@@ -25,7 +39,8 @@ class BitSim {
   void set_input(NetId net, std::uint64_t word);
   /// Convenience: drive a multi-bit port with the same value in all slots.
   void set_port_uniform(const Port& port, std::uint64_t value);
-  /// Drive a multi-bit port with a per-slot value (values[slot]).
+  /// Drive a multi-bit port with a per-slot value (values[slot], 64 of
+  /// them). Port bits beyond the 64th are driven 0.
   void set_port_per_slot(const Port& port, const std::uint64_t* values);
 
   /// Evaluates combinational logic with current inputs and flop states.
@@ -38,6 +53,10 @@ class BitSim {
   std::uint64_t value(NetId net) const { return vals_[net]; }
   /// Reads a multi-bit port in one slot as an integer (LSB-first).
   std::uint64_t read_port(const Port& port, int slot) const;
+  /// Reads a port of at most 64 bits in every slot at once: values[slot].
+  void read_port_per_slot(const Port& port, std::uint64_t* values) const;
+  /// Slots in which any bit of `port` is 1.
+  std::uint64_t nonzero_slots(const Port& port) const;
 
   /// Direct access to flop state (for loading formal counterexamples).
   void set_flop_state(CellId flop, std::uint64_t word);

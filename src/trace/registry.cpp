@@ -121,6 +121,14 @@ constexpr MetricDef kCounterDefs[] = {
      "programs kept in the corpus for covering new gate toggle polarities"},
     {MetricKind::Counter, "fuzz.covered_pairs", "1", false,
      "distinct (net, polarity) toggle pairs covered on the target core"},
+    // Lane occupancy of the bit-parallel oracles. Which programs share a
+    // simulation pass depends on the worker-thread count.
+    {MetricKind::Counter, "fuzz.sim_passes", "passes", false,
+     "gate-level simulation passes, one per core per oracle batch"},
+    {MetricKind::Counter, "fuzz.pass_cycles", "cycles", false,
+     "clock cycles simulated across all passes (the longest lane of each)"},
+    {MetricKind::Counter, "fuzz.lane_cycles", "cycles", false,
+     "cycles the programs ran, summed over the lanes of every pass"},
 };
 static_assert(std::size(kCounterDefs) == kNumCounters,
               "every Counter enumerator needs a registry row");

@@ -110,6 +110,9 @@ enum class Counter : unsigned {
   FuzzShrinkRuns,
   FuzzCorpusRetained,
   FuzzCoveredPairs,
+  FuzzSimPasses,
+  FuzzPassCycles,
+  FuzzLaneCycles,
   kCount,
 };
 inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);

@@ -311,8 +311,7 @@ TEST(Cm0Cosim, HintsAndBarriersAreNops) {
 
 TEST(Cm0Cosim, UndefinedHalts) {
   Cm0Testbench tb(cm0());
-  tb.load_halfwords(0, {0xdeff});  // udf #0xff
-  tb.reset();
+  tb.load_halfwords(0, 0, {0xdeff});  // udf #0xff
   EXPECT_LT(tb.run(50), 50u);
 }
 

@@ -4,6 +4,7 @@
 // stats and byte-identical artifacts at any thread count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -36,6 +37,31 @@ const Netlist& ibex_netlist() {
 const Netlist& cm0_netlist() {
   static const cores::Cm0Core core = [] {
     cores::Cm0Core c = cores::build_cm0();
+    opt::optimize(c.netlist);
+    return c;
+  }();
+  return core.netlist;
+}
+
+// Stand-ins for reduced cores: same ports, a different netlist, and programs
+// on which they diverge from the ISS (no multiplier/divider; a different
+// reset stack pointer, which moves every push).
+const Netlist& ibex_no_m_netlist() {
+  static const cores::IbexCore core = [] {
+    cores::IbexConfig cfg;
+    cfg.has_m = false;
+    cores::IbexCore c = cores::build_ibex(cfg);
+    opt::optimize(c.netlist);
+    return c;
+  }();
+  return core.netlist;
+}
+
+const Netlist& cm0_low_sp_netlist() {
+  static const cores::Cm0Core core = [] {
+    cores::Cm0Config cfg;
+    cfg.sp_reset = 0x8000;
+    cores::Cm0Core c = cores::build_cm0(cfg);
     opt::optimize(c.netlist);
     return c;
   }();
@@ -234,6 +260,133 @@ TEST(FuzzOracle, CoverageAccumulates) {
   EXPECT_LE(after_one, 2 * cov.nets());
 }
 
+// --- lane-parallel batches ---------------------------------------------------
+
+namespace {
+
+bool same_bits(const CoverageMap& a, const CoverageMap& b) {
+  CoverageMap x = a;
+  CoverageMap y = b;
+  return a.nets() == b.nets() && x.merge_count_new(b) == 0 && y.merge_count_new(a) == 0;
+}
+
+/// `n` copies of one op: with a multi-cycle op the testbench hits its cycle
+/// cap while the ISS halts; with 4200 single-step ops the ISS hits its step
+/// cap first.
+AbsProgram repeated(int spec, std::size_t n) {
+  AbsProgram p;
+  for (std::size_t i = 0; i < n; ++i) p.push_back({spec, OpClass::Plain, 0x5eed + i, 0});
+  return p;
+}
+
+/// Runs `programs` as one batch in identity lane order and in a permuted
+/// order, and requires every program's outcome and coverage to equal those
+/// of the program run alone. Returns the outcomes run alone.
+std::vector<RunOutcome> expect_lane_isolation(Oracle& oracle,
+                                              const std::vector<AbsProgram>& programs) {
+  std::vector<RunOutcome> alone(programs.size());
+  std::vector<CoverageMap> alone_cov(programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    alone_cov[i].init(oracle.coverage_nets());
+    alone[i] = oracle.run(programs[i], &alone_cov[i]);
+  }
+  std::vector<std::size_t> order(programs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::vector<std::size_t> permuted(order.rbegin(), order.rend());
+  std::rotate(permuted.begin(), permuted.begin() + 5, permuted.end());
+  for (const auto& lanes : {order, permuted}) {
+    std::vector<const AbsProgram*> batch;
+    std::vector<CoverageMap> cov(lanes.size());
+    std::vector<CoverageMap*> covs;
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      batch.push_back(&programs[lanes[lane]]);
+      cov[lane].init(oracle.coverage_nets());
+      covs.push_back(&cov[lane]);
+    }
+    const std::vector<RunOutcome> out = oracle.run_batch(batch, covs);
+    EXPECT_EQ(out.size(), lanes.size());
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      const std::size_t p = lanes[lane];
+      EXPECT_EQ(out[lane].status, alone[p].status) << "program " << p << " in lane " << lane;
+      EXPECT_EQ(out[lane].detail, alone[p].detail) << "program " << p << " in lane " << lane;
+      EXPECT_EQ(out[lane].cycles, alone[p].cycles) << "program " << p << " in lane " << lane;
+      EXPECT_TRUE(same_bits(cov[lane], alone_cov[p])) << "program " << p << " in lane " << lane;
+    }
+  }
+  return alone;
+}
+
+bool has_status(const std::vector<RunOutcome>& outs, RunOutcome::Status s,
+                const std::string& detail_prefix) {
+  return std::any_of(outs.begin(), outs.end(), [&](const RunOutcome& o) {
+    return o.status == s && o.detail.rfind(detail_prefix, 0) == 0;
+  });
+}
+
+/// 32 programs: 29 generated or mutated, then lane 29 runs `slow` (or one
+/// more generated program when `slow` is empty), lane 30 one the ISS cannot
+/// finish, and lane 31 a duplicate of lane 3.
+template <class Gen>
+std::vector<AbsProgram> lane_test_programs(const Gen& gen, const AbsProgram& slow,
+                                           int plain_spec) {
+  std::vector<AbsProgram> programs;
+  for (std::uint64_t seed = 1; programs.size() < 29; ++seed) {
+    programs.push_back(seed % 4 == 0 ? gen.mutate(gen.generate(seed), seed) : gen.generate(seed));
+  }
+  programs.push_back(slow.empty() ? gen.generate(100) : slow);
+  programs.push_back(repeated(plain_spec, 4200));
+  programs.push_back(programs[3]);
+  return programs;
+}
+
+}  // namespace
+
+TEST(FuzzBatch, IbexLanesMatchProgramsRunAlone) {
+  const Rv32Generator gen(isa::rv32_subset_named("rv32imc"));
+  const int addi = isa::rv32_instr_index("addi");
+  {
+    // Baseline only, decoder fault armed: lanes with R-type ops diverge.
+    util::ScopedFailpoint fp("ibex_tb.fetch_fault", "enospc");
+    Rv32DiffOracle oracle(gen, ibex_netlist(), nullptr);
+    const auto outs = expect_lane_isolation(oracle, lane_test_programs(gen, {}, addi));
+    EXPECT_TRUE(has_status(outs, RunOutcome::Status::Agree, ""));
+    EXPECT_TRUE(has_status(outs, RunOutcome::Status::Diverge, "baseline: "));
+    EXPECT_EQ(outs[30].detail, "iss: did not halt");
+    EXPECT_EQ(outs[30].cycles, 0u);
+  }
+  // With a reduced core (coverage from it): M-extension lanes diverge there.
+  Rv32DiffOracle oracle(gen, ibex_netlist(), &ibex_no_m_netlist());
+  const auto outs = expect_lane_isolation(oracle, lane_test_programs(gen, {}, addi));
+  EXPECT_TRUE(has_status(outs, RunOutcome::Status::Agree, ""));
+  EXPECT_TRUE(has_status(outs, RunOutcome::Status::Diverge, "reduced: "));
+  EXPECT_EQ(outs[30].detail, "iss: did not halt");
+}
+
+TEST(FuzzBatch, Cm0LanesMatchProgramsRunAlone) {
+  const ThumbGenerator gen(isa::thumb_subset_all());
+  const int movs = isa::thumb_instr_index("movs.i8");
+  {
+    // Baseline only, decoder fault armed: lanes with DP-register ops
+    // diverge, and 300 32-cycle multiplies outlast the testbench's cycle cap
+    // (one capped lane keeps every pass at the full cap, so only this
+    // variant has one).
+    util::ScopedFailpoint fp("cm0_tb.fetch_fault", "enospc");
+    ThumbDiffOracle oracle(gen, cm0_netlist(), nullptr);
+    const auto outs = expect_lane_isolation(
+        oracle, lane_test_programs(gen, repeated(isa::thumb_instr_index("muls"), 300), movs));
+    EXPECT_TRUE(has_status(outs, RunOutcome::Status::Agree, ""));
+    EXPECT_TRUE(has_status(outs, RunOutcome::Status::Diverge, "baseline: "));
+    EXPECT_EQ(outs[29].detail, "baseline: did not halt");
+    EXPECT_EQ(outs[29].cycles, 8192u);
+    EXPECT_EQ(outs[30].detail, "iss: did not halt");
+    EXPECT_EQ(outs[30].cycles, 0u);
+  }
+  ThumbDiffOracle oracle(gen, cm0_netlist(), &cm0_low_sp_netlist());
+  const auto outs = expect_lane_isolation(oracle, lane_test_programs(gen, {}, movs));
+  EXPECT_TRUE(has_status(outs, RunOutcome::Status::Agree, ""));
+  EXPECT_TRUE(has_status(outs, RunOutcome::Status::Diverge, "reduced: "));
+}
+
 // --- the loop: mutation self-check + determinism -----------------------------
 
 namespace {
@@ -296,6 +449,57 @@ TEST(FuzzLoop, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(c1, c4) << "corpus/coverage/reproducers must not depend on the thread count";
   std::filesystem::remove_all(dir1);
   std::filesystem::remove_all(dir4);
+}
+
+namespace {
+
+/// FNV-1a over every (relative path, contents) pair of a directory.
+std::uint64_t digest_dir(const std::filesystem::path& root) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&](const std::string& s) {
+    for (const unsigned char c : s) h = (h ^ c) * 1099511628211ull;
+    h = (h ^ 0xff) * 1099511628211ull;
+  };
+  for (const auto& [path, content] : dir_contents(root)) {
+    mix(path);
+    mix(content);
+  }
+  return h;
+}
+
+}  // namespace
+
+// Fixed-seed results recorded with the program-at-a-time oracle that ran one
+// program per simulation pass. The thread-count test above compares two arms
+// of the current code; this pins both to the recorded history, so a change
+// that moves the campaign (generation, scheduling, coverage, shrinking) shows.
+TEST(FuzzLoop, GoldenCampaignsMatchRecordedResults) {
+  FuzzOptions fopt;
+  fopt.seed = 11;
+  fopt.iterations = 64;
+  const FuzzStats ibex =
+      fuzz_rv32(isa::rv32_subset_named("rv32imc"), ibex_netlist(), nullptr, fopt);
+  EXPECT_EQ(ibex.programs, 64u);
+  EXPECT_EQ(ibex.instructions, 1420u);
+  EXPECT_EQ(ibex.corpus_retained, 35u);
+  EXPECT_EQ(ibex.covered_pairs, 18771u);
+
+  // Includes one divergence of the unmodified CM0 (final N flag after a
+  // single op), which the recorded run also found.
+  const FuzzStats cm0 = fuzz_thumb(isa::thumb_subset_interesting(), cm0_netlist(), nullptr, fopt);
+  EXPECT_EQ(cm0.programs, 64u);
+  EXPECT_EQ(cm0.instructions, 1354u);
+  EXPECT_EQ(cm0.corpus_retained, 26u);
+  EXPECT_EQ(cm0.covered_pairs, 12903u);
+  EXPECT_EQ(cm0.divergences, 1u);
+
+  util::ScopedFailpoint fp("ibex_tb.fetch_fault", "enospc");
+  const auto dir = fresh_dir("golden");
+  fuzz_ibex_baseline(3, 48, 1, dir.string());
+  EXPECT_EQ(dir_contents(dir).size(), 21u);
+  EXPECT_EQ(digest_dir(dir), 0x95cc1e2c245c5640ull)
+      << "corpus/coverage/reproducers of the seed-3 armed run changed";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FuzzLoop, ZeroIterationsRunsNoOraclesAndWritesNothing) {

@@ -293,8 +293,7 @@ TEST(IbexCosim, CompressedInstructionsExecute) {
 
 TEST(IbexCosim, IllegalInstructionHaltsCore) {
   IbexTestbench tb(full_core());
-  tb.load_words(0, {0xffffffffu});
-  tb.reset();
+  tb.load_words(0, 0, {0xffffffffu});
   const auto cycles = tb.run(100);
   EXPECT_LT(cycles, 100u);
 }
@@ -304,10 +303,9 @@ TEST(IbexCosim, NoCConfigTreatsCompressedAsIllegal) {
   cfg.has_c = false;
   const IbexCore core = build_ibex(cfg);
   IbexTestbench tb(core.netlist);
-  tb.load_words(0, {0x00000001u});  // c.nop — illegal without the C extension
-  tb.reset();
+  tb.load_words(0, 0, {0x00000001u});  // c.nop — illegal without the C extension
   EXPECT_LT(tb.run(100), 100u);
-  EXPECT_EQ(tb.retired(), 1u) << "the illegal instruction itself retires into a halt";
+  EXPECT_EQ(tb.retired(0), 1u) << "the illegal instruction itself retires into a halt";
 }
 
 class IbexRandomPrograms : public ::testing::TestWithParam<int> {};

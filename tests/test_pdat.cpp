@@ -293,8 +293,7 @@ TEST(PdatIbex, ReducedCoreIsNotRequiredToRunRemovedInstructions) {
   const PdatResult res = reduce_ibex(isa::rv32_subset_named("rv32i"));
   const auto prog = isa::assemble_rv32("li a0, 3\nli a1, 4\nmul a2, a0, a1\nebreak\n");
   cores::IbexTestbench tb(res.transformed);
-  tb.load_words(0, prog.words);
-  tb.reset();
+  tb.load_words(0, 0, prog.words);
   tb.run(10000);
   SUCCEED();
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/bitsim.h"
@@ -71,6 +72,36 @@ TEST(BitSim, PortHelpers) {
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(sim.read_port(out, i), (~static_cast<std::uint64_t>(i)) & 0xff);
   }
+
+  // The all-slot reader agrees with the one-slot reader.
+  std::uint64_t read[64];
+  sim.read_port_per_slot(out, read);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(read[i], sim.read_port(out, i)) << "slot " << i;
+  EXPECT_EQ(sim.nonzero_slots(out), ~0ULL) << "y = ~slot is nonzero in every slot";
+  per_slot[7] = 0xff;  // y = 0 in slot 7 only
+  sim.set_port_per_slot(in, per_slot);
+  sim.eval();
+  EXPECT_EQ(sim.nonzero_slots(out), ~(1ULL << 7));
+}
+
+TEST(BitSim, Transpose64MatchesNaive) {
+  std::uint64_t a[64], t[64];
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (auto& w : a) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    w = x;
+  }
+  std::copy(a, a + 64, t);
+  transpose64(t);
+  for (int i = 0; i < 64; ++i) {
+    for (int j = 0; j < 64; ++j) {
+      ASSERT_EQ((t[i] >> j) & 1, (a[j] >> i) & 1) << i << "," << j;
+    }
+  }
+  transpose64(t);
+  EXPECT_TRUE(std::equal(a, a + 64, t)) << "transposition is an involution";
 }
 
 TEST(TernarySim, XInitFlopsProduceX) {
