@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the substrate components: the
-// bit-parallel netlist simulator, the SAT solver on netlist equivalence
-// obligations, and the logic optimizer.
+// bit-parallel netlist simulator and the sim-filter and rewire stages built
+// on it, the SAT solver on netlist equivalence obligations, and the logic
+// optimizer.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -9,26 +10,38 @@
 #include "base/rng.h"
 #include "cores/cm0/cm0_core.h"
 #include "cores/ibex/ibex_core.h"
+#include "formal/candidates.h"
 #include "formal/cnf_encoder.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
 #include "formal/coi.h"
 #include "formal/induction.h"
 #include "opt/optimizer.h"
+#include "pdat/pipeline.h"
 #include "pdat/property_library.h"
+#include "pdat/restrictions.h"
+#include "pdat/rewire.h"
 #include "sat/solver.h"
 #include "sim/bitsim.h"
 #include "trace/trace.h"
 
 namespace {
 
-const pdat::Netlist& ibex_netlist() {
+const pdat::cores::IbexCore& ibex_core() {
   static const pdat::cores::IbexCore core = [] {
     pdat::cores::IbexCore c = pdat::cores::build_ibex();
     pdat::opt::optimize(c.netlist);
+    c.refresh_handles();
     return c;
   }();
-  return core.netlist;
+  return core;
+}
+
+const pdat::Netlist& ibex_netlist() { return ibex_core().netlist; }
+
+pdat::RestrictionResult restrict_rv32i(pdat::Netlist& analysis) {
+  return pdat::restrict_isa_cutpoint(analysis, ibex_core().instr_reg_q,
+                                     pdat::isa::rv32_subset_named("rv32i"));
 }
 
 void BM_BitSimCycle(benchmark::State& state) {
@@ -46,6 +59,51 @@ void BM_BitSimCycle(benchmark::State& state) {
                           static_cast<std::int64_t>(nl.gate_count()) * 64);
 }
 BENCHMARK(BM_BitSimCycle);
+
+// The sim-filter stage of an Ibex rv32i reduction: the cutpoint analysis
+// netlist, its property-library candidates and the default 4 restarts x 512
+// cycles. Candidates die within a few cycles, so this measures how well the
+// filter's cost follows the live candidates rather than the full list.
+void BM_SimFilterIbexRv32i(benchmark::State& state) {
+  pdat::trace::end_run();
+  const pdat::Netlist& design = ibex_netlist();
+  pdat::Netlist analysis = design;
+  const pdat::RestrictionResult r = restrict_rv32i(analysis);
+  pdat::PropertyLibraryOptions plopt;
+  plopt.cell_limit = static_cast<pdat::CellId>(design.num_cells_raw());
+  plopt.excluded_nets = r.cut_nets;
+  const std::vector<pdat::GateProperty> cands = pdat::annotate_netlist(analysis, plopt);
+  pdat::SimFilterOptions opt;
+  opt.free_nets = r.cut_nets;
+  std::size_t survivors = 0;
+  for (auto _ : state) {
+    survivors = pdat::sim_filter(analysis, r.env, cands, opt).survivors.size();
+    benchmark::DoNotOptimize(survivors);
+  }
+  state.counters["candidates"] = static_cast<double>(cands.size());
+  state.counters["survivors"] = static_cast<double>(survivors);
+}
+BENCHMARK(BM_SimFilterIbexRv32i)->Unit(benchmark::kMillisecond);
+
+// The rewire stage of an Ibex rv32i reduction: apply_rewiring of the proven
+// set of one (untimed, one-off) reduction to a fresh copy of the design.
+void BM_RewireIbexRv32i(benchmark::State& state) {
+  pdat::trace::end_run();
+  const pdat::Netlist& design = ibex_netlist();
+  pdat::PdatOptions popt;
+  popt.induction.threads = 4;
+  const std::vector<pdat::GateProperty> proven =
+      pdat::run_pdat(design, restrict_rv32i, popt).proven_props;
+  for (auto _ : state) {
+    state.PauseTiming();
+    pdat::Netlist nl = design;
+    state.ResumeTiming();
+    const pdat::RewireStats st = pdat::apply_rewiring(nl, proven);
+    benchmark::DoNotOptimize(st.const_rewires);
+  }
+  state.counters["proven"] = static_cast<double>(proven.size());
+}
+BENCHMARK(BM_RewireIbexRv32i)->Unit(benchmark::kMillisecond);
 
 void BM_FrameEncode(benchmark::State& state) {
   const pdat::Netlist& nl = ibex_netlist();

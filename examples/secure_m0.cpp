@@ -147,32 +147,8 @@ int main(int argc, char** argv) {
     return fuzz::fuzz_thumb(subset, design, &reduced, fo);
   };
 
-  const PdatResult res = run_pdat(core.netlist, [&](Netlist& a) {
-    const Port* port = a.find_input("imem_rdata");
-    RestrictionResult r;
-    synth::Builder b(a);
-    r.env.add_assume(isa::build_thumb_halfword_matcher(b, port->bits, subset));
-    struct Driver final : StimulusDriver {
-      std::vector<NetId> bits;
-      isa::ThumbSubset s;
-      std::uint32_t pend[64] = {};
-      bool has[64] = {};
-      Driver(std::vector<NetId> n, isa::ThumbSubset ss) : bits(std::move(n)), s(std::move(ss)) {}
-      void drive(BitSim& sim, Rng& rng) override {
-        std::uint64_t slots[64];
-        for (int i = 0; i < 64; ++i) slots[i] = isa::sample_thumb_halfword(s, rng, pend[i], has[i]);
-        Port tmp;
-        tmp.bits = bits;
-        sim.set_port_per_slot(tmp, slots);
-      }
-      std::vector<NetId> owned_nets() const override { return bits; }
-      std::unique_ptr<StimulusDriver> clone() const override {
-        return std::make_unique<Driver>(*this);
-      }
-    };
-    r.env.drivers.push_back(std::make_shared<Driver>(port->bits, subset));
-    return r;
-  }, opt);
+  const PdatResult res = run_pdat(
+      core.netlist, [&](Netlist& a) { return restrict_thumb_port(a, "imem_rdata", subset); }, opt);
 
   if (!report_path.empty()) {
     // Deterministic fields only (no wall clock): byte-comparable between

@@ -1,6 +1,7 @@
 #include "formal/candidates.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "netlist/levelize.h"
@@ -16,39 +17,20 @@ SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
                    {"restarts", opt.restarts}, {"cycles", opt.cycles});
   BitSim sim(nl);
   Rng rng(opt.seed);
+  const std::vector<NetId> free = free_input_nets(nl, env, opt.free_nets);
 
+  std::vector<std::uint32_t> live(candidates.size());
+  std::iota(live.begin(), live.end(), 0u);
   std::vector<bool> alive(candidates.size(), true);
   for (int r = 0; r < opt.restarts; ++r) {
     sim.reset();
     for (int cyc = 0; cyc < opt.cycles; ++cyc) {
-      drive_inputs(nl, env, sim, rng, opt.free_nets);
+      drive_inputs(env, sim, rng, free);
       sim.eval();
-      bool env_ok = true;
-      for (NetId a : env.assumes) {
-        if (sim.value(a) != ~0ULL) {
-          env_ok = false;
-          break;
-        }
-      }
-      if (!env_ok) {
+      if (!assumes_hold(env, sim)) {
         ++res.assume_violation_cycles;
       } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (!alive[i]) continue;
-          const GateProperty& p = candidates[i];
-          bool violated = false;
-          switch (p.kind) {
-            case PropKind::Const0: violated = sim.value(p.target) != 0; break;
-            case PropKind::Const1: violated = ~sim.value(p.target) != 0; break;
-            case PropKind::Implies:
-              violated = (sim.value(p.a) & ~sim.value(p.b)) != 0;
-              break;
-            case PropKind::Equiv:
-              violated = (sim.value(p.a) ^ sim.value(p.b)) != 0;
-              break;
-          }
-          if (violated) alive[i] = false;
-        }
+        drop_violated(candidates, sim, live, [&](std::uint32_t i) { alive[i] = false; });
       }
       // Advance state (uses the values already evaluated this cycle).
       sim.latch();
@@ -89,19 +71,13 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
   // Signatures: multiply-xor fold of the sampled 64-slot words over all
   // environment-consistent cycles.
   std::vector<std::uint64_t> sig(nl.num_nets(), 0x9e3779b97f4a7c15ULL);
+  const std::vector<NetId> free = free_input_nets(nl, env, opt.sim.free_nets);
   for (int r = 0; r < opt.sim.restarts; ++r) {
     sim.reset();
     for (int cyc = 0; cyc < opt.sim.cycles; ++cyc) {
-      drive_inputs(nl, env, sim, rng, opt.sim.free_nets);
+      drive_inputs(env, sim, rng, free);
       sim.eval();
-      bool env_ok = true;
-      for (NetId a : env.assumes) {
-        if (sim.value(a) != ~0ULL) {
-          env_ok = false;
-          break;
-        }
-      }
-      if (env_ok) {
+      if (assumes_hold(env, sim)) {
         for (NetId n : nets) {
           sig[n] = (sig[n] ^ sim.value(n)) * 0x100000001b3ULL;
         }

@@ -3,7 +3,8 @@
 // Constrained random simulation (the cheap half of the property checker):
 // any gate property violated on a simulated allowed execution cannot be an
 // invariant, so it is dropped before the expensive SAT phase. 64 simulation
-// slots run in parallel per cycle.
+// slots run in parallel per cycle. Each cycle checks only the candidates
+// still alive, so the cost falls as candidates die.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,34 @@
 #include "netlist/netlist.h"
 
 namespace pdat {
+
+/// Slots in which the simulator's current values falsify `p`.
+inline std::uint64_t violation_slots(const GateProperty& p, const BitSim& sim) {
+  switch (p.kind) {
+    case PropKind::Const0: return sim.value(p.target);
+    case PropKind::Const1: return ~sim.value(p.target);
+    case PropKind::Implies: return sim.value(p.a) & ~sim.value(p.b);
+    case PropKind::Equiv: return sim.value(p.a) ^ sim.value(p.b);
+  }
+  return 0;
+}
+
+/// Removes from `live`, a list of ascending indices into `cands`, every
+/// candidate the simulator's current values falsify, keeping the rest in
+/// order. Calls kill(i) for each removed index, in ascending order.
+template <class Kill>
+void drop_violated(const std::vector<GateProperty>& cands, const BitSim& sim,
+                   std::vector<std::uint32_t>& live, Kill&& kill) {
+  std::size_t kept = 0;
+  for (const std::uint32_t i : live) {
+    if (violation_slots(cands[i], sim) != 0) {
+      kill(i);
+    } else {
+      live[kept++] = i;
+    }
+  }
+  live.resize(kept);
+}
 
 struct SimFilterOptions {
   int cycles = 512;     // cycles per restart

@@ -17,20 +17,26 @@ void SampledWordDriver::drive(BitSim& sim, Rng& rng) {
   sim.set_port_per_slot(tmp, slots);
 }
 
-void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng,
-                  const std::vector<NetId>& extra_free_nets) {
+std::vector<NetId> free_input_nets(const Netlist& nl, const Environment& env,
+                                   const std::vector<NetId>& extra_free_nets) {
   std::unordered_set<NetId> owned;
   for (const auto& d : env.drivers) {
     for (NetId n : d->owned_nets()) owned.insert(n);
   }
+  std::vector<NetId> free;
   for (const auto& p : nl.inputs()) {
     for (NetId n : p.bits) {
-      if (!owned.count(n)) sim.set_input(n, rng.next());
+      if (!owned.count(n)) free.push_back(n);
     }
   }
   for (NetId n : extra_free_nets) {
-    if (!owned.count(n)) sim.set_input(n, rng.next());
+    if (!owned.count(n)) free.push_back(n);
   }
+  return free;
+}
+
+void drive_inputs(const Environment& env, BitSim& sim, Rng& rng, const std::vector<NetId>& free) {
+  for (NetId n : free) sim.set_input(n, rng.next());
   for (const auto& d : env.drivers) d->drive(sim, rng);
 }
 

@@ -107,9 +107,22 @@ class SampledWordDriver final : public StimulusDriver {
   std::function<std::uint64_t(Rng&)> sample_;
 };
 
-/// Drives every primary input not owned by an environment driver with
-/// uniform random bits, then runs the environment drivers.
-void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng,
-                  const std::vector<NetId>& extra_free_nets = {});
+/// The nets drive_inputs fills with random bits: every primary-input bit,
+/// then every `extra_free_nets` entry (cutpoints), in that order, minus
+/// the nets an environment driver owns. Compute once per simulation run.
+std::vector<NetId> free_input_nets(const Netlist& nl, const Environment& env,
+                                   const std::vector<NetId>& extra_free_nets = {});
+
+/// One cycle of stimulus: drives each `free` net (from free_input_nets)
+/// with uniform random bits, then runs the environment drivers.
+void drive_inputs(const Environment& env, BitSim& sim, Rng& rng, const std::vector<NetId>& free);
+
+/// True when every environment assume-net is 1 in all 64 slots.
+inline bool assumes_hold(const Environment& env, const BitSim& sim) {
+  for (NetId a : env.assumes) {
+    if (sim.value(a) != ~0ULL) return false;
+  }
+  return true;
+}
 
 }  // namespace pdat

@@ -10,6 +10,7 @@
 
 #include "base/log.h"
 #include "formal/cnf_encoder.h"
+#include "formal/candidates.h"
 #include "formal/coi.h"
 #include "formal/proofcache.h"
 #include "runtime/checkpoint.h"
@@ -86,6 +87,11 @@ bool violated_in_model(const sat::Solver& s, const GateProperty& p, const Frame&
 }
 
 using Clock = std::chrono::steady_clock;
+
+std::uint64_t micros_since(Clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+}
 
 /// Optional wall-clock cutoff shared by all phases. `expired()` latches
 /// InductionStats::timed_out so callers abort conservatively.
@@ -293,11 +299,14 @@ struct Engine {
   mutable std::atomic<std::uint64_t> probe_misses{0};
   Fnv128 problem_hash;         // shared global-key prefix
   std::uint64_t alive_hash = 0;  // per-round digest of the alive bitset
+  /// Nets cex_replay drives randomly (job-private driver clones own the
+  /// same nets as `env`'s drivers).
+  const std::vector<NetId> replay_free;
 
   Engine(const Netlist& nl_, const Environment& env_, const std::vector<GateProperty>& c,
          const InductionOptions& o, InductionStats& s, const Deadline& d)
       : nl(nl_), env(env_), cands(c), opt(o), st(s), dl(d), enc(nl_),
-        alive(c.size(), true) {}
+        alive(c.size(), true), replay_free(free_input_nets(nl_, env_, o.sim_free_nets)) {}
 
   /// Key prefix shared by every global (non-localized) job: the netlist,
   /// environment, candidate list, and every option a job outcome can depend
@@ -624,6 +633,8 @@ struct Engine {
   void cex_replay(const sat::Solver& s, const Frame& fk, BitSim& sim, Environment& local_env,
                   Rng& rng, std::vector<char>& job_killed, JobOutcome& out) const {
     if (opt.cex_sim_cycles <= 0) return;
+    const bool timed = trace::collecting();
+    const auto t0 = timed ? Clock::now() : Clock::time_point{};
     trace::add(trace::Counter::InductionCexReplays, 1);
     trace::add(trace::Counter::InductionCexReplayCycles,
                static_cast<std::uint64_t>(opt.cex_sim_cycles));
@@ -631,35 +642,22 @@ struct Engine {
       const NetId q = nl.cell(flop).out;
       sim.set_flop_state(flop, s.model_value(fk.net_var[q]) ? ~0ULL : 0);
     }
+    std::vector<std::uint32_t> live;
+    for (std::uint32_t i = 0; i < cands.size(); ++i) {
+      if (alive[i] && !job_killed[i]) live.push_back(i);
+    }
     for (int cyc = 0; cyc < opt.cex_sim_cycles; ++cyc) {
-      drive_inputs(nl, local_env, sim, rng, opt.sim_free_nets);
+      drive_inputs(local_env, sim, rng, replay_free);
       sim.eval();
-      bool env_ok = true;
-      for (NetId a : local_env.assumes) {
-        if (sim.value(a) != ~0ULL) {
-          env_ok = false;
-          break;
-        }
-      }
-      if (env_ok) {
-        for (std::uint32_t i = 0; i < cands.size(); ++i) {
-          if (!alive[i] || job_killed[i]) continue;
-          const GateProperty& p = cands[i];
-          bool viol = false;
-          switch (p.kind) {
-            case PropKind::Const0: viol = sim.value(p.target) != 0; break;
-            case PropKind::Const1: viol = ~sim.value(p.target) != 0; break;
-            case PropKind::Implies: viol = (sim.value(p.a) & ~sim.value(p.b)) != 0; break;
-            case PropKind::Equiv: viol = (sim.value(p.a) ^ sim.value(p.b)) != 0; break;
-          }
-          if (viol) {
-            job_killed[i] = 1;
-            out.kills.push_back(i);
-          }
-        }
+      if (assumes_hold(local_env, sim)) {
+        drop_violated(cands, sim, live, [&](std::uint32_t i) {
+          job_killed[i] = 1;
+          out.kills.push_back(i);
+        });
       }
       sim.latch();
     }
+    if (timed) trace::add(trace::Counter::InductionReplayMicros, micros_since(t0));
   }
 
   /// Merges one round's job results into the alive set. Model/replay kills
@@ -798,8 +796,7 @@ struct Engine {
         } else {
           const auto t0 = Clock::now();
           r = sv.solve({assumption}, l);
-          solve_us += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+          solve_us += micros_since(t0);
         }
         if (cert.has_value()) cert->check(r, {assumption}, "induction.base");
         return r;
@@ -988,8 +985,7 @@ struct Engine {
         } else {
           const auto t0 = Clock::now();
           r = sv.solve({assumption}, l);
-          solve_us += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+          solve_us += micros_since(t0);
         }
         if (cert.has_value()) cert->check(r, {assumption}, "induction.step");
         return r;
@@ -1117,7 +1113,10 @@ struct Engine {
     span.arg("alive", static_cast<std::int64_t>(alive_before));
     const int k = opt.k < 1 ? 1 : opt.k;
 
+    const bool timed = trace::collecting();
+    auto t0 = timed ? Clock::now() : Clock::time_point{};
     const ConePartition part = partition_cones(nl, enc.levels(), cands, alive, env.assumes);
+    std::uint64_t partition_us = timed ? micros_since(t0) : 0;
     st.coi_cones += part.cones.size();
     trace::add(trace::Counter::CoiPartitions, 1);
     trace::add(trace::Counter::CoiCones, part.cones.size());
@@ -1146,10 +1145,13 @@ struct Engine {
 
     std::vector<CacheKey> fps(part.cones.size());
     if (cache != nullptr) {
+      if (timed) t0 = Clock::now();
       for (std::size_t ci = 0; ci < part.cones.size(); ++ci) {
         fps[ci] = cone_fingerprint(nl, part.cones[ci], cands);
       }
+      if (timed) partition_us += micros_since(t0);
     }
+    if (timed) trace::add(trace::Counter::InductionPartitionMicros, partition_us);
 
     struct ConeTemplate {
       sat::Solver solver;
@@ -1253,8 +1255,7 @@ struct Engine {
           } else {
             const auto t0 = Clock::now();
             r = s.solve({assumption}, l);
-            solve_us += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+            solve_us += micros_since(t0);
           }
           if (cert.has_value()) cert->check(r, {assumption}, "induction.coi");
           return r;

@@ -1,5 +1,6 @@
 #include "isa/thumb_assembler.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -33,6 +34,9 @@ struct Operand {
 
 std::vector<std::string> split_top(const std::string& s) {
   std::vector<std::string> out;
+  // A blank operand field (e.g. "nop" followed by spaces) has no operands.
+  const auto blank = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+  if (std::all_of(s.begin(), s.end(), blank)) return out;
   std::string cur;
   int depth = 0;
   for (char c : s) {
@@ -66,6 +70,7 @@ bool parse_int(std::string s, std::int64_t& v) {
 }
 
 Operand parse_operand(const std::string& s) {
+  if (s.empty()) throw PdatError("empty operand");
   Operand op;
   if (s.front() == '[') {
     op.kind = Operand::Kind::Mem;

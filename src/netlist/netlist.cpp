@@ -136,17 +136,19 @@ void Netlist::kill_cell(CellId id) {
   if (c.out != kNoNet && net_driver_[c.out] == id) net_driver_[c.out] = kNoCell;
 }
 
-void Netlist::replace_uses(NetId from, NetId to) {
+void Netlist::replace_uses(const std::vector<std::pair<NetId, NetId>>& subs) {
+  if (subs.empty()) return;
+  // Compose back to front: after visiting pair i, dest[n] is where a use of
+  // n ends up after pairs i..end (kNoNet: it stays n).
+  std::vector<NetId> dest(net_driver_.size(), kNoNet);
+  const auto resolve = [&](NetId n) { return n == kNoNet || dest[n] == kNoNet ? n : dest[n]; };
+  for (auto it = subs.rbegin(); it != subs.rend(); ++it) dest[it->first] = resolve(it->second);
   for (auto& c : cells_) {
     if (c.dead) continue;
-    for (auto& in : c.in) {
-      if (in == from) in = to;
-    }
+    for (auto& in : c.in) in = resolve(in);
   }
   for (auto& p : outputs_) {
-    for (auto& bit : p.bits) {
-      if (bit == from) bit = to;
-    }
+    for (auto& bit : p.bits) bit = resolve(bit);
   }
 }
 

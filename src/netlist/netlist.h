@@ -8,6 +8,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/types.h"
@@ -94,9 +95,12 @@ class Netlist {
   /// Marks a cell dead and clears its driver entry. Used by the optimizer.
   void kill_cell(CellId id);
 
-  /// Replaces every use of net `from` (cell inputs and primary outputs)
-  /// with net `to`. Drivers are unchanged.
-  void replace_uses(NetId from, NetId to);
+  /// Applies the substitutions {from, to} in list order to every use (live
+  /// cell inputs and primary outputs) in one pass. The result equals
+  /// replacing all uses of each `from` with its `to`, one pair after the
+  /// other: a use follows every later substitution of the net it has become,
+  /// never an earlier one. Drivers are unchanged.
+  void replace_uses(const std::vector<std::pair<NetId, NetId>>& subs);
 
   // --- statistics ----------------------------------------------------------
   /// Number of live cells excluding tie cells (the paper's "gate count").

@@ -37,6 +37,50 @@ RestrictionResult restrict_isa_port(Netlist& analysis, const std::string& port_n
   return res;
 }
 
+namespace {
+
+/// Samples one subset halfword stream per slot.
+class ThumbHalfwordDriver final : public StimulusDriver {
+ public:
+  ThumbHalfwordDriver(std::vector<NetId> bits, isa::ThumbSubset subset)
+      : bits_(std::move(bits)), subset_(std::move(subset)) {}
+  void drive(BitSim& sim, Rng& rng) override {
+    std::uint64_t slots[64];
+    for (int i = 0; i < 64; ++i) {
+      slots[i] = isa::sample_thumb_halfword(subset_, rng, pend_[i], has_[i]);
+    }
+    Port tmp;
+    tmp.bits = bits_;
+    sim.set_port_per_slot(tmp, slots);
+  }
+  std::vector<NetId> owned_nets() const override { return bits_; }
+  std::unique_ptr<StimulusDriver> clone() const override {
+    return std::make_unique<ThumbHalfwordDriver>(*this);
+  }
+
+ private:
+  std::vector<NetId> bits_;
+  isa::ThumbSubset subset_;
+  std::uint32_t pend_[64] = {};  // per slot: second halfword of a wide encoding
+  bool has_[64] = {};
+};
+
+}  // namespace
+
+RestrictionResult restrict_thumb_port(Netlist& analysis, const std::string& port_name,
+                                      const isa::ThumbSubset& subset) {
+  const Port* port = analysis.find_input(port_name);
+  if (port == nullptr || port->bits.size() != 16) {
+    throw PdatError("restrict_thumb_port: no 16-bit input named " + port_name);
+  }
+  RestrictionResult res;
+  const std::vector<NetId> bits = port->bits;
+  synth::Builder b(analysis);
+  res.env.add_assume(isa::build_thumb_halfword_matcher(b, bits, subset));
+  res.env.drivers.push_back(std::make_shared<ThumbHalfwordDriver>(bits, subset));
+  return res;
+}
+
 void strengthen_subset_membership(Netlist& analysis, RestrictionResult& r,
                                   const std::vector<NetId>& regs, const isa::RvSubset& subset) {
   synth::Builder b(analysis);

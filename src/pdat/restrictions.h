@@ -13,6 +13,7 @@
 #include "formal/environment.h"
 #include "formal/property.h"
 #include "isa/rv32_subsets.h"
+#include "isa/thumb_subsets.h"
 #include "netlist/netlist.h"
 
 namespace pdat {
@@ -37,6 +38,12 @@ RestrictionResult restrict_isa_cutpoint(Netlist& analysis, const std::vector<Net
 /// port (e.g. imem_rdata) to the subset without cutting anything.
 RestrictionResult restrict_isa_port(Netlist& analysis, const std::string& port_name,
                                     const isa::RvSubset& subset);
+
+/// Port-based Thumb restriction: constrains a 16-bit halfword fetch port
+/// (e.g. the CM0's imem_rdata) to the subset. The stimulus driver is
+/// stateful: a wide encoding's second halfword follows its first.
+RestrictionResult restrict_thumb_port(Netlist& analysis, const std::string& port_name,
+                                      const isa::ThumbSubset& subset);
 
 /// Additional restriction: whenever `req` is 1, addr[1:0] == 0 (the paper's
 /// "Aligned" Ibex variant — only word-aligned memory accesses occur).

@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace pdat {
 
@@ -10,6 +12,8 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
   std::unordered_set<NetId> rewired_nets;
   std::unordered_set<CellId> rewired_cells;
   std::unordered_map<NetId, NetId> const_target;  // const-rewired net -> tie
+  // Pass 1/1b use substitutions, applied in order in one netlist pass.
+  std::vector<std::pair<NetId, NetId>> subs;
 
   // Pass 1: constants (they subsume any implication on the same cell).
   for (const auto& p : proven) {
@@ -27,7 +31,7 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
     const CellId drv = nl.driver(p.target);
     if (drv != kNoCell) rewired_cells.insert(drv);
     nl.detach_driver(p.target);
-    nl.replace_uses(p.target, tie);
+    subs.emplace_back(p.target, tie);
     const_target.emplace(p.target, tie);
     ++st.const_rewires;
   }
@@ -45,12 +49,14 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
     NetId target = p.a;
     auto it = const_target.find(target);
     if (it != const_target.end()) target = it->second;  // rep became a tie
-    nl.replace_uses(p.b, target);
+    subs.emplace_back(p.b, target);
     if (p.cell != kNoCell) rewired_cells.insert(p.cell);
     ++st.equiv_rewires;
   }
 
-  // Pass 2: implications.
+  nl.replace_uses(subs);
+
+  // Pass 2: implications (reads cell inputs after the substitutions).
   for (const auto& p : proven) {
     if (!p.rewireable) continue;
     if (p.kind != PropKind::Implies || p.cell == kNoCell || p.rewire_to_input < 0) continue;

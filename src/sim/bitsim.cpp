@@ -20,16 +20,32 @@ void transpose64(std::uint64_t a[64]) {
 }
 
 BitSim::BitSim(const Netlist& nl) : nl_(nl), lv_(levelize(nl)) {
-  vals_.assign(nl.num_nets(), 0);
+  const auto zero = static_cast<NetId>(nl.num_nets());
+  ops_.reserve(lv_.comb_order.size());
+  for (CellId id : lv_.comb_order) {
+    const Cell& c = nl.cell(id);
+    const int n = cell_num_inputs(c.kind);
+    const auto pin = [&](int i) {
+      const NetId in = c.in[static_cast<std::size_t>(i)];
+      return i < n && in != kNoNet ? in : zero;
+    };
+    ops_.push_back({c.kind, pin(0), pin(1), pin(2), c.out});
+  }
+  std::stable_sort(ops_.begin(), ops_.end(), [&](const Op& x, const Op& y) {
+    const int lx = lv_.net_level[x.out], ly = lv_.net_level[y.out];
+    return lx != ly ? lx < ly : x.kind < y.kind;
+  });
+  flops_.reserve(lv_.flops.size());
+  for (CellId id : lv_.flops) flops_.push_back({id, nl.cell(id).in[0], nl.cell(id).out});
+  vals_.assign(nl.num_nets() + 1, 0);
   flop_q_.assign(nl.num_cells_raw(), 0);
   reset();
 }
 
 void BitSim::reset() {
-  for (CellId id : lv_.flops) {
-    const Cell& c = nl_.cell(id);
-    flop_q_[id] = (c.init == Tri::T) ? ~0ULL : 0ULL;
-    vals_[c.out] = flop_q_[id];
+  for (const Flop& f : flops_) {
+    flop_q_[f.cell] = nl_.cell(f.cell).init == Tri::T ? ~0ULL : 0ULL;
+    vals_[f.q] = flop_q_[f.cell];
   }
 }
 
@@ -51,19 +67,40 @@ void BitSim::set_port_per_slot(const Port& port, const std::uint64_t* values) {
 }
 
 void BitSim::eval() {
-  for (CellId id : lv_.flops) vals_[nl_.cell(id).out] = flop_q_[id];
-  for (CellId id : lv_.comb_order) {
-    const Cell& c = nl_.cell(id);
-    const std::uint64_t a = c.in[0] == kNoNet ? 0 : vals_[c.in[0]];
-    const std::uint64_t b = c.in[1] == kNoNet ? 0 : vals_[c.in[1]];
-    const std::uint64_t d = c.in[2] == kNoNet ? 0 : vals_[c.in[2]];
-    vals_[c.out] = cell_eval64(c.kind, a, b, d);
+  std::uint64_t* const v = vals_.data();
+  for (const Flop& f : flops_) v[f.q] = flop_q_[f.cell];
+  // Same functions as cell_eval64, inlined; comb cells only (no Dff).
+  for (const Op& op : ops_) {
+    const std::uint64_t a = v[op.a], b = v[op.b], c = v[op.c];
+    std::uint64_t r = 0;
+    switch (op.kind) {
+      case CellKind::Const0: r = 0; break;
+      case CellKind::Const1: r = ~0ULL; break;
+      case CellKind::Buf: r = a; break;
+      case CellKind::Inv: r = ~a; break;
+      case CellKind::And2: r = a & b; break;
+      case CellKind::Or2: r = a | b; break;
+      case CellKind::Nand2: r = ~(a & b); break;
+      case CellKind::Nor2: r = ~(a | b); break;
+      case CellKind::Xor2: r = a ^ b; break;
+      case CellKind::Xnor2: r = ~(a ^ b); break;
+      case CellKind::And3: r = a & b & c; break;
+      case CellKind::Or3: r = a | b | c; break;
+      case CellKind::Nand3: r = ~(a & b & c); break;
+      case CellKind::Nor3: r = ~(a | b | c); break;
+      case CellKind::Mux2: r = (a & ~c) | (b & c); break;
+      case CellKind::Aoi21: r = ~((a & b) | c); break;
+      case CellKind::Oai21: r = ~((a | b) & c); break;
+      case CellKind::Dff:
+      case CellKind::kCount: break;
+    }
+    v[op.out] = r;
   }
 }
 
 void BitSim::latch() {
-  for (CellId id : lv_.flops) flop_q_[id] = vals_[nl_.cell(id).in[0]];
-  for (CellId id : lv_.flops) vals_[nl_.cell(id).out] = flop_q_[id];
+  for (const Flop& f : flops_) flop_q_[f.cell] = vals_[f.d];
+  for (const Flop& f : flops_) vals_[f.q] = flop_q_[f.cell];
 }
 
 void BitSim::step() {

@@ -66,9 +66,23 @@ class BitSim {
   const Levelization& levels() const { return lv_; }
 
  private:
+  /// One combinational cell of the op stream. Pins index vals_; absent pins
+  /// index the always-zero slot vals_[num_nets].
+  struct Op {
+    CellKind kind;
+    NetId a, b, c, out;
+  };
+  /// One flop: its state lives in flop_q_[cell].
+  struct Flop {
+    CellId cell;
+    NetId d, q;
+  };
+
   const Netlist& nl_;
   Levelization lv_;
-  std::vector<std::uint64_t> vals_;      // per net
+  std::vector<Op> ops_;
+  std::vector<Flop> flops_;
+  std::vector<std::uint64_t> vals_;      // per net, plus the zero slot
   std::vector<std::uint64_t> flop_q_;    // per cell id (sparse; indexed by CellId)
 };
 

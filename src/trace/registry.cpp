@@ -54,6 +54,10 @@ constexpr MetricDef kCounterDefs[] = {
      "wall-clock time inside whole-netlist (non-localized) proof-job solves"},
     {MetricKind::Counter, "induction.solve_micros_localized", "micros", false,
      "wall-clock time inside cone-localized proof-job solves"},
+    {MetricKind::Counter, "induction.partition_micros", "micros", false,
+     "wall-clock time the coordinator spends partitioning cones and fingerprinting them"},
+    {MetricKind::Counter, "induction.replay_micros", "micros", false,
+     "wall-clock time inside counterexample replays (summed over proof jobs)"},
     {MetricKind::Counter, "coi.partitions", "1", true,
      "cone-of-influence partitions computed (one per localized phase/round)"},
     {MetricKind::Counter, "coi.cones", "cones", true,

@@ -75,6 +75,8 @@ enum class Counter : unsigned {
   InductionBudgetKills,
   InductionSolveMicrosGlobal,
   InductionSolveMicrosLocalized,
+  InductionPartitionMicros,
+  InductionReplayMicros,
   // Cone-of-influence localization.
   CoiPartitions,
   CoiCones,

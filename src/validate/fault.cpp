@@ -93,11 +93,13 @@ bool restricted_differ_random(const Netlist& a, const RestrictionResult& ra,
   // stimulus — exactly what the miter's cross-side cutpoint ties enforce.
   Rng rng_a(seed);
   Rng rng_b(seed);
+  const std::vector<NetId> free_a = free_input_nets(a, ra.env, ra.cut_nets);
+  const std::vector<NetId> free_b = free_input_nets(b, rb.env, rb.cut_nets);
   sa.reset();
   sb.reset();
   for (int t = 0; t < cycles; ++t) {
-    drive_inputs(a, ra.env, sa, rng_a, ra.cut_nets);
-    drive_inputs(b, rb.env, sb, rng_b, rb.cut_nets);
+    drive_inputs(ra.env, sa, rng_a, free_a);
+    drive_inputs(rb.env, sb, rng_b, free_b);
     sa.eval();
     sb.eval();
     for (const Port& p : a.outputs()) {

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
+#include "cores/cm0/cm0_core.h"
+#include "cores/ibex/ibex_core.h"
 #include "formal/bmc.h"
 #include "formal/candidates.h"
 #include "formal/cnf_encoder.h"
 #include "formal/induction.h"
+#include "opt/optimizer.h"
+#include "pdat/property_library.h"
+#include "pdat/restrictions.h"
 #include "sim/bitsim.h"
 #include "synth/builder.h"
 #include "test_util.h"
@@ -349,6 +357,110 @@ TEST(SimFilter, RespectsEnvironmentDrivers) {
   ASSERT_EQ(res.survivors.size(), 1u);
   EXPECT_EQ(res.survivors[0].target, instr[0]);
   EXPECT_EQ(res.assume_violation_cycles, 0u);
+}
+
+/// The filter as it was before the live list: per-cycle stimulus that
+/// recomputes the owned nets, and a scan over every candidate every cycle.
+SimFilterResult full_scan_filter(const Netlist& nl, const Environment& env,
+                                 const std::vector<GateProperty>& cands,
+                                 const SimFilterOptions& opt) {
+  SimFilterResult res;
+  BitSim sim(nl);
+  Rng rng(opt.seed);
+  std::vector<bool> alive(cands.size(), true);
+  for (int r = 0; r < opt.restarts; ++r) {
+    sim.reset();
+    for (int cyc = 0; cyc < opt.cycles; ++cyc) {
+      std::set<NetId> owned;
+      for (const auto& d : env.drivers) {
+        for (NetId n : d->owned_nets()) owned.insert(n);
+      }
+      for (const Port& p : nl.inputs()) {
+        for (NetId n : p.bits) {
+          if (!owned.count(n)) sim.set_input(n, rng.next());
+        }
+      }
+      for (NetId n : opt.free_nets) {
+        if (!owned.count(n)) sim.set_input(n, rng.next());
+      }
+      for (const auto& d : env.drivers) d->drive(sim, rng);
+      sim.eval();
+      bool env_ok = true;
+      for (NetId a : env.assumes) env_ok = env_ok && sim.value(a) == ~0ULL;
+      if (!env_ok) {
+        ++res.assume_violation_cycles;
+      } else {
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+          const GateProperty& p = cands[i];
+          std::uint64_t bad = 0;
+          switch (p.kind) {
+            case PropKind::Const0: bad = sim.value(p.target); break;
+            case PropKind::Const1: bad = ~sim.value(p.target); break;
+            case PropKind::Implies: bad = sim.value(p.a) & ~sim.value(p.b); break;
+            case PropKind::Equiv: bad = sim.value(p.a) ^ sim.value(p.b); break;
+          }
+          if (bad != 0) alive[i] = false;
+        }
+      }
+      sim.latch();
+    }
+  }
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    if (alive[i]) {
+      res.survivors.push_back(cands[i]);
+    } else {
+      ++res.dropped;
+    }
+  }
+  return res;
+}
+
+/// Runs both filters on `design` under `restrict_fn`'s analysis netlist and
+/// its property-library candidates.
+void expect_live_list_matches_full_scan(
+    const Netlist& design, const std::function<RestrictionResult(Netlist&)>& restrict_fn) {
+  Netlist analysis = design;
+  const RestrictionResult r = restrict_fn(analysis);
+  PropertyLibraryOptions plopt;
+  plopt.cell_limit = static_cast<CellId>(design.num_cells_raw());
+  plopt.excluded_nets = r.cut_nets;
+  std::vector<GateProperty> cands = annotate_netlist(analysis, plopt);
+  cands.insert(cands.end(), r.strengthen.begin(), r.strengthen.end());
+  SimFilterOptions opt;
+  opt.restarts = 2;
+  opt.cycles = 256;
+  opt.free_nets = r.cut_nets;
+
+  const SimFilterResult want = full_scan_filter(analysis, r.env, cands, opt);
+  const SimFilterResult got = sim_filter(analysis, r.env, cands, opt);
+  ASSERT_GT(want.dropped, 0u);
+  ASSERT_GT(want.survivors.size(), 0u);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.assume_violation_cycles, want.assume_violation_cycles);
+  ASSERT_EQ(got.survivors.size(), want.survivors.size());
+  for (std::size_t i = 0; i < got.survivors.size(); ++i) {
+    const GateProperty& g = got.survivors[i];
+    const GateProperty& w = want.survivors[i];
+    ASSERT_TRUE(g.kind == w.kind && g.target == w.target && g.a == w.a && g.b == w.b &&
+                g.cell == w.cell)
+        << "survivor " << i << ": " << g.describe() << " vs " << w.describe();
+  }
+}
+
+TEST(SimFilter, LiveListMatchesFullScan) {
+  cores::IbexCore ibex = cores::build_ibex();
+  opt::optimize(ibex.netlist);
+  ibex.refresh_handles();
+  const std::vector<NetId> instr_q = ibex.instr_reg_q;
+  expect_live_list_matches_full_scan(ibex.netlist, [&](Netlist& a) {
+    return restrict_isa_cutpoint(a, instr_q, isa::rv32_subset_named("rv32i"));
+  });
+
+  cores::Cm0Core cm0 = cores::build_cm0();
+  opt::optimize(cm0.netlist);
+  expect_live_list_matches_full_scan(cm0.netlist, [](Netlist& a) {
+    return restrict_thumb_port(a, "imem_rdata", isa::thumb_subset_interesting());
+  });
 }
 
 // --- BMC -------------------------------------------------------------------------

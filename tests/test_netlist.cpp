@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "netlist/check.h"
 #include "netlist/levelize.h"
@@ -74,9 +76,57 @@ TEST(Netlist, ReplaceUsesRewritesInputsAndPorts) {
   const NetId x = nl.add_cell(CellKind::And2, in[0], in[1]);
   const NetId y = nl.add_cell(CellKind::Inv, x);
   nl.add_output("o", {x, y});
-  nl.replace_uses(x, in[0]);
+  nl.replace_uses({{x, in[0]}});
   EXPECT_EQ(nl.cell(nl.driver(y)).in[0], in[0]);
   EXPECT_EQ(nl.outputs()[0].bits[0], in[0]);
+}
+
+// The batch must equal replacing one pair after the other with a full scan:
+// a use follows later substitutions of what it has become (x->y then y->z
+// sends x to z), never earlier ones (y->z then x->y leaves x at y).
+TEST(Netlist, ReplaceUsesInOrderMatchesSequential) {
+  const auto sequential = [](Netlist& nl, NetId from, NetId to) {
+    for (CellId id = 0; id < nl.num_cells_raw(); ++id) {
+      Cell& c = nl.cell(id);
+      if (c.dead) continue;
+      for (auto& in : c.in) {
+        if (in == from) in = to;
+      }
+    }
+    for (auto& p : nl.outputs_mut()) {
+      for (auto& bit : p.bits) {
+        if (bit == from) bit = to;
+      }
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Netlist nl = test::random_netlist(seed, 8, 80, 6, 12);
+    Rng rng(seed * 7919);
+    for (int i = 0; i < 6; ++i) nl.kill_cell(static_cast<CellId>(rng.below(nl.num_cells_raw())));
+    const auto net = [&] { return static_cast<NetId>(rng.below(nl.num_nets())); };
+    std::vector<std::pair<NetId, NetId>> subs;
+    for (int i = 0; i < 30; ++i) {
+      const NetId x = net(), y = net(), z = net();
+      switch (rng.below(4)) {
+        case 0: subs.insert(subs.end(), {{x, y}, {y, z}}); break;  // forward chain
+        case 1: subs.insert(subs.end(), {{y, z}, {x, y}}); break;  // backward chain
+        case 2: subs.emplace_back(x, x); break;
+        default: subs.emplace_back(x, y); break;
+      }
+    }
+    // Output-port bits are substituted too.
+    const NetId out0 = nl.outputs()[0].bits[0];
+    subs.emplace_back(out0, net());
+
+    Netlist ref = nl;
+    for (const auto& [from, to] : subs) sequential(ref, from, to);
+    nl.replace_uses(subs);
+    for (CellId id = 0; id < nl.num_cells_raw(); ++id) {
+      EXPECT_EQ(nl.cell(id).in, ref.cell(id).in) << "seed " << seed << " cell " << id;
+      EXPECT_EQ(nl.cell(id).out, ref.cell(id).out);
+    }
+    EXPECT_EQ(nl.outputs()[0].bits, ref.outputs()[0].bits) << "seed " << seed;
+  }
 }
 
 TEST(Netlist, CompactDropsDeadCellsAndNets) {

@@ -95,7 +95,7 @@ TEST(Restrictions, CutToZeroPinsNets) {
   // Simulation: the driver ties the cut net low.
   BitSim sim(nl);
   Rng rng(3);
-  drive_inputs(nl, r.env, sim, rng, r.cut_nets);
+  drive_inputs(r.env, sim, rng, free_input_nets(nl, r.env, r.cut_nets));
   sim.eval();
   EXPECT_EQ(sim.value(x), 0u);
   for (NetId asm_net : r.env.assumes) EXPECT_EQ(sim.value(asm_net), ~0ULL);
@@ -108,8 +108,9 @@ TEST(Restrictions, StimulusSatisfiesAssumesForAllRv32Subsets) {
     RestrictionResult r = restrict_isa_port(copy, "instr", isa::rv32_subset_named(name));
     BitSim sim(copy);
     Rng rng(17);
+    const std::vector<NetId> free = free_input_nets(copy, r.env);
     for (int cyc = 0; cyc < 200; ++cyc) {
-      drive_inputs(copy, r.env, sim, rng);
+      drive_inputs(r.env, sim, rng, free);
       sim.eval();
       for (NetId a : r.env.assumes) {
         ASSERT_EQ(sim.value(a), ~0ULL) << name << " cycle " << cyc;

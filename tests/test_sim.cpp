@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "sim/bitsim.h"
@@ -102,6 +103,71 @@ TEST(BitSim, Transpose64MatchesNaive) {
   }
   transpose64(t);
   EXPECT_TRUE(std::equal(a, a + 64, t)) << "transposition is an involution";
+}
+
+// The op stream reorders cells by (level, kind) and reads absent pins from a
+// zero slot; a plain topological walk calling cell_eval64 per cell is the
+// reference. Netlists mix every combinational kind, tie cells, detached
+// drivers (their nets become free) and dead cells.
+TEST(BitSim, OpStreamMatchesCellEval64) {
+  const CellKind comb[] = {CellKind::Const0, CellKind::Const1, CellKind::Buf,   CellKind::Inv,
+                           CellKind::And2,   CellKind::Or2,    CellKind::Nand2, CellKind::Nor2,
+                           CellKind::Xor2,   CellKind::Xnor2,  CellKind::And3,  CellKind::Or3,
+                           CellKind::Nand3,  CellKind::Nor3,   CellKind::Mux2,  CellKind::Aoi21,
+                           CellKind::Oai21};
+  static_assert(std::size(comb) + 1 == kNumCellKinds, "every combinational kind is covered");
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    Netlist nl;
+    std::vector<NetId> pool = nl.add_input("in", 6);
+    std::vector<CellId> flops;
+    for (int i = 0; i < 10; ++i) {
+      const NetId q = nl.add_cell(CellKind::Dff, pool[0]);
+      flops.push_back(nl.driver(q));
+      nl.cell(flops.back()).init = rng.chance(128) ? Tri::T : Tri::F;
+      pool.push_back(q);
+    }
+    for (int i = 0; i < 300; ++i) {
+      const CellKind k = comb[static_cast<std::size_t>(i) % std::size(comb)];
+      const int n = cell_num_inputs(k);
+      NetId pin[3] = {kNoNet, kNoNet, kNoNet};
+      for (int j = 0; j < n; ++j) pin[j] = pool[rng.below(pool.size())];
+      pool.push_back(nl.add_cell(k, pin[0], pin[1], pin[2]));
+    }
+    for (const CellId f : flops) nl.cell(f).in[0] = pool[rng.below(pool.size())];
+    // Cutpoints: the nets turn free and their old drivers feed dangling nets.
+    std::vector<NetId> free = nl.inputs()[0].bits;
+    for (int i = 0; i < 12; ++i) {
+      const NetId n = pool[16 + rng.below(pool.size() - 16)];
+      if (nl.driver(n) != kNoCell && nl.detach_driver(n) != kNoNet) free.push_back(n);
+    }
+    for (int i = 0; i < 8; ++i) nl.kill_cell(static_cast<CellId>(rng.below(nl.num_cells_raw())));
+    nl.add_output("out", {pool.back()});
+
+    BitSim sim(nl);
+    const Levelization lv = levelize(nl);
+    std::vector<std::uint64_t> ref(nl.num_nets(), 0), q(nl.num_cells_raw(), 0);
+    for (const CellId f : lv.flops) q[f] = nl.cell(f).init == Tri::T ? ~0ULL : 0;
+    const auto pin = [&](NetId n) { return n == kNoNet ? 0 : ref[n]; };
+    for (int cyc = 0; cyc < 200; ++cyc) {
+      for (const NetId n : free) {
+        ref[n] = rng.next();
+        sim.set_input(n, ref[n]);
+      }
+      for (const CellId f : lv.flops) ref[nl.cell(f).out] = q[f];
+      for (const CellId id : lv.comb_order) {
+        const Cell& c = nl.cell(id);
+        ref[c.out] = cell_eval64(c.kind, pin(c.in[0]), pin(c.in[1]), pin(c.in[2]));
+      }
+      sim.eval();
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        ASSERT_EQ(sim.value(n), ref[n]) << "seed " << seed << " cycle " << cyc << " net " << n;
+      }
+      for (const CellId f : lv.flops) q[f] = ref[nl.cell(f).in[0]];
+      sim.latch();
+      for (const CellId f : lv.flops) ASSERT_EQ(sim.flop_state(f), q[f]);
+    }
+  }
 }
 
 TEST(TernarySim, XInitFlopsProduceX) {

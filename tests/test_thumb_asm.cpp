@@ -101,6 +101,12 @@ TEST(ThumbAsm, Errors) {
   EXPECT_THROW(assemble_thumb("ldr r0, [r16, #0]\n"), PdatError);
 }
 
+TEST(ThumbAsm, BlankOperandFieldAndEmptyOperand) {
+  // Trailing blanks (here left by a stripped comment) mean no operands.
+  EXPECT_EQ(assemble_thumb("nop      ; pad\n").halves, assemble_thumb("nop\n").halves);
+  EXPECT_THROW(assemble_thumb("adds r0, , r1\n"), PdatError);
+}
+
 TEST(ThumbAsm, RegListEncoding) {
   const auto prog = assemble_thumb("stm r0, {r1, r3, r5}\nldm r2, {r0}\n");
   const ThumbFields f = thumb_extract(thumb_instr("stm"), prog.halves[0]);

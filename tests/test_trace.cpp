@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -24,24 +25,63 @@
 
 // --- counting operator new ---------------------------------------------------
 // Replaces the global allocator for this test binary so the disabled-mode
-// zero-allocation guarantee can be asserted directly.
+// zero-allocation guarantee can be asserted directly. Every form is
+// replaced, nothrow and over-aligned included: the library allocates with
+// some of them (std::stable_sort's buffer uses the nothrow form) and frees
+// with the plain delete, so a form left to the default allocator would pair
+// its allocation with this file's free().
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
 }
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+void* counted_alloc_or_throw(std::size_t size, std::size_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
   throw std::bad_alloc();
 }
+}  // namespace
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size) { return counted_alloc_or_throw(size, 0); }
+void* operator new[](std::size_t size) { return counted_alloc_or_throw(size, 0); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t al) {
+  return counted_alloc_or_throw(size, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t size, std::align_val_t al) {
+  return counted_alloc_or_throw(size, static_cast<std::size_t>(al));
+}
+void* operator new(std::size_t size, std::align_val_t al, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t size, std::align_val_t al, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, static_cast<std::size_t>(al));
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace pdat {
 namespace {
