@@ -552,5 +552,90 @@ TEST(Bmc, EnvSatisfiableDetectsVacuous) {
   EXPECT_TRUE(env_satisfiable(nl, ok, 3));
 }
 
+// --- pinned engine counters ------------------------------------------------------
+
+/// The CM0 analysis netlist under the "interesting" Thumb subset on its fetch
+/// port, with its property-library candidates after simulation filtering:
+/// the proof problem the pipeline hands to prove_invariants.
+struct Cm0ProofProblem {
+  Netlist analysis;
+  RestrictionResult restr;
+  std::vector<GateProperty> cands;
+};
+
+Cm0ProofProblem cm0_proof_problem() {
+  cores::Cm0Core cm0 = cores::build_cm0();
+  opt::optimize(cm0.netlist);
+  Cm0ProofProblem p;
+  p.analysis = cm0.netlist;
+  p.restr = restrict_thumb_port(p.analysis, "imem_rdata", isa::thumb_subset_interesting());
+  PropertyLibraryOptions plopt;
+  plopt.cell_limit = static_cast<CellId>(cm0.netlist.num_cells_raw());
+  plopt.excluded_nets = p.restr.cut_nets;
+  std::vector<GateProperty> cands = annotate_netlist(p.analysis, plopt);
+  cands.insert(cands.end(), p.restr.strengthen.begin(), p.restr.strengthen.end());
+  SimFilterOptions sopt;
+  sopt.free_nets = p.restr.cut_nets;
+  p.cands = sim_filter(p.analysis, p.restr.env, std::move(cands), sopt).survivors;
+  return p;
+}
+
+struct PinnedCounters {
+  std::size_t after_base, proven;
+  int rounds;
+  std::size_t sat_calls, cex_kills, budget_kills, job_retries, job_drops;
+};
+
+void expect_counters(const Cm0ProofProblem& p, InductionOptions opt, const PinnedCounters& want,
+                     const char* arm) {
+  SCOPED_TRACE(arm);
+  opt.sim_free_nets = p.restr.cut_nets;
+  InductionStats st;
+  const auto proven = prove_invariants(p.analysis, p.restr.env, p.cands, opt, &st);
+  EXPECT_EQ(proven.size(), st.proven);
+  EXPECT_EQ(st.after_base, want.after_base);
+  EXPECT_EQ(st.proven, want.proven);
+  EXPECT_EQ(st.rounds, want.rounds);
+  EXPECT_EQ(st.sat_calls, want.sat_calls);
+  EXPECT_EQ(st.cex_kills, want.cex_kills);
+  EXPECT_EQ(st.budget_kills, want.budget_kills);
+  EXPECT_EQ(st.job_retries, want.job_retries);
+  EXPECT_EQ(st.job_drops, want.job_drops);
+}
+
+TEST(Induction, CountersMatchRecordedValues) {
+  // Absolute counters of each engine path on one fixed problem. Every other
+  // induction check compares two runs (threads, resume, certify on/off), so
+  // a change to the CNF a job solves moves both sides alike and passes them;
+  // SAT-call counts move with it and fail here. The values were recorded on
+  // the engine before its round drivers were merged into one; change them
+  // only for a change that is meant to move the engine's work.
+  const Cm0ProofProblem p = cm0_proof_problem();
+  ASSERT_EQ(p.cands.size(), 1120u);
+
+  InductionOptions global;
+  expect_counters(p, global, {1120, 976, 3, 51, 144, 0, 0, 0}, "global k=1, replay");
+
+  InductionOptions no_replay;
+  no_replay.cex_sim_cycles = 0;
+  expect_counters(p, no_replay, {1120, 976, 3, 127, 144, 0, 0, 0}, "global k=1, no replay");
+
+  InductionOptions k2;
+  k2.k = 2;
+  expect_counters(p, k2, {1113, 980, 2, 46, 140, 0, 0, 0}, "global k=2");
+
+  InductionOptions coi;
+  coi.coi_localize = true;
+  expect_counters(p, coi, {1120, 976, 3, 126, 144, 0, 0, 0}, "coi k=1");
+
+  // A budget this tight exhausts aggregate queries: the per-member sweep
+  // runs, unresolved members retry with an escalated budget, and what the
+  // last attempt cannot resolve is dropped.
+  InductionOptions tight;
+  tight.conflict_budget = 16;
+  tight.max_job_attempts = 2;
+  expect_counters(p, tight, {1120, 965, 3, 3070, 130, 25, 3, 2}, "global, tight budget");
+}
+
 }  // namespace
 }  // namespace pdat
