@@ -33,7 +33,7 @@ class CertificationError : public PdatError {
   explicit CertificationError(const std::string& what) : PdatError(what) {}
 };
 
-/// Three-valued logic used by the ternary simulator and initial states.
+/// Three-valued logic: flop initial states and ternary cell evaluation.
 enum class Tri : std::uint8_t { F = 0, T = 1, X = 2 };
 
 inline Tri tri_not(Tri a) {

@@ -6,7 +6,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <span>
 
 #include "base/log.h"
 #include "formal/cnf_encoder.h"
@@ -236,18 +238,32 @@ struct JobOutcome {
   std::uint64_t sat_calls = 0;
 };
 
-/// Shards the alive candidate indices into fixed-size batches. Batching
-/// depends only on the alive set and batch_size — never on thread count.
-std::vector<std::vector<std::uint32_t>> shard_alive(const std::vector<bool>& alive,
-                                                    int batch_size) {
-  std::vector<std::vector<std::uint32_t>> batches;
-  const std::size_t b = batch_size < 1 ? 1 : static_cast<std::size_t>(batch_size);
-  for (std::uint32_t i = 0; i < alive.size(); ++i) {
-    if (!alive[i]) continue;
-    if (batches.empty() || batches.back().size() >= b) batches.emplace_back();
-    batches.back().push_back(i);
+/// A proof job's CNF template over either frame encoder (FrameEncoder for
+/// the whole netlist, ConeEncoder for one cone). The base case unrolls
+/// frames 0..k-1 from the initial state; a step round unrolls frames 0..k
+/// from a free state and asserts the round hypothesis, every candidate in
+/// `hyp`, at frames 0..k-1. The assumes hold in every frame. Hypotheses are
+/// hard clauses: kills are deferred to the round barrier (Jacobi
+/// iteration), which keeps every job a pure function of (template, batch).
+template <class Encoder>
+void encode_template(const Encoder& enc, const std::vector<NetId>& assumes,
+                     const std::vector<GateProperty>& cands,
+                     std::span<const std::uint32_t> hyp, bool base, int k, sat::Solver& s,
+                     std::vector<Frame>& frames) {
+  const int nframes = base ? k : k + 1;
+  for (int j = 0; j < nframes; ++j) {
+    frames.push_back(enc.encode(s));
+    if (j == 0) {
+      if (base) enc.fix_initial(s, frames[0]);
+    } else {
+      enc.link(s, frames[static_cast<std::size_t>(j - 1)], frames[static_cast<std::size_t>(j)]);
+    }
+    for (const NetId a : assumes) s.add_clause(frames.back().lit(a, true));
   }
-  return batches;
+  if (base) return;
+  for (const std::uint32_t i : hyp) {
+    for (int j = 0; j < k; ++j) assert_property(s, cands[i], frames[static_cast<std::size_t>(j)]);
+  }
 }
 
 std::size_t popcount(const std::vector<bool>& v) {
@@ -269,6 +285,27 @@ runtime::ProofRoundRecord checkpoint_record(const InductionStats& st, int round,
   r.counters.after_base = st.after_base;
   return r;
 }
+
+/// One independently provable slice of a round: a support-closed cone
+/// under COI, otherwise the whole netlist. Cache payloads address candidates
+/// as positions in `space`; the whole-netlist space is every candidate
+/// index, so there the mapping is the identity.
+struct ProofUnit {
+  const Cone* cone = nullptr;              // null: the whole netlist
+  std::span<const std::uint32_t> space;    // ascending candidate indices
+  std::span<const std::uint32_t> members;  // the alive ones: batched, and the step hypothesis
+  CacheKey fingerprint{};                  // cone content digest (cone units, with a cache)
+
+  std::uint32_t position(std::uint32_t cand) const {
+    return static_cast<std::uint32_t>(std::lower_bound(space.begin(), space.end(), cand) -
+                                      space.begin());
+  }
+};
+
+struct UnitTemplate {
+  sat::Solver solver;
+  std::vector<Frame> frames;
+};
 
 /// The engine state shared by the base and step phases.
 struct Engine {
@@ -514,21 +551,34 @@ struct Engine {
     return c;
   }
 
-  CacheKey global_job_key(int phase, int round, std::size_t jid,
-                          const std::vector<std::uint32_t>& members,
-                          const runtime::JobBudget& budget) const {
-    Fnv128 h = problem_hash;
-    h.u32(static_cast<std::uint32_t>(phase));
-    h.u64(alive_hash);
-    // Replay kills depend on the job's RNG stream, seeded by (round, jid);
-    // fold them only when replay is active so replay-free outcomes are
-    // reusable wherever the rest of the key matches.
-    if (opt.cex_sim_cycles > 0 && phase == 1) {
-      h.u32(static_cast<std::uint32_t>(round + 2));
-      h.u64(jid);
+  /// Cache key of one job attempt over `members`, hashed as positions in
+  /// the unit's space. Whole-netlist jobs extend the global problem prefix
+  /// with the alive set; cone jobs hash the cone's content fingerprint
+  /// instead, so an isomorphic cone of a later round or run reuses the entry.
+  CacheKey job_key(const ProofUnit& u, bool base, int k, int round, std::size_t jid,
+                   const std::vector<std::uint32_t>& members,
+                   const runtime::JobBudget& budget) const {
+    Fnv128 h;
+    if (u.cone == nullptr) {
+      h = problem_hash;
+      h.u32(base ? 0u : 1u);
+      h.u64(alive_hash);
+      // Replay kills depend on the job's RNG stream, seeded by (round, jid);
+      // fold them only when replay is active so replay-free outcomes are
+      // reusable wherever the rest of the key matches.
+      if (opt.cex_sim_cycles > 0 && !base) {
+        h.u32(static_cast<std::uint32_t>(round + 2));
+        h.u64(jid);
+      }
+    } else {
+      h.str("pdat-coi-job-v2");  // v2: certified payloads, see CachedOutcome
+      h.u64(u.fingerprint.lo);
+      h.u64(u.fingerprint.hi);
+      h.u32(base ? 0u : 1u);
+      h.u32(static_cast<std::uint32_t>(k));
     }
     h.u64(members.size());
-    for (const std::uint32_t m : members) h.u32(m);
+    for (const std::uint32_t m : members) h.u32(u.position(m));
     h.u64(static_cast<std::uint64_t>(budget.conflicts));
     h.u64(budget.memory_bytes);
     return h.digest();
@@ -581,15 +631,6 @@ struct Engine {
     const bool stored = certified ? cache->update(key, std::move(payload))
                                   : cache->insert(key, std::move(payload));
     if (stored) trace::add(trace::Counter::ProofCacheStores, 1);
-  }
-
-  /// Replays a cached attempt: byte-equivalent to re-running it.
-  runtime::JobStatus inject_outcome(const CachedOutcome& o, std::vector<std::uint32_t>& members,
-                                    JobOutcome& out) const {
-    out.sat_calls += o.sat_calls;
-    out.kills.insert(out.kills.end(), o.kills.begin(), o.kills.end());
-    members = o.pending;
-    return o.done ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
   }
 
   runtime::SupervisorOptions supervisor_options() const {
@@ -706,9 +747,6 @@ struct Engine {
     return removed;
   }
 
-  /// Base case: every alive candidate must hold in frames 0..k-1 from the
-  /// power-on state. One supervised job per batch; verdicts are independent
-  /// across candidates, so a single round suffices.
   /// Records one round's telemetry at the barrier (main thread, round order):
   /// the RoundRecord for metrics.json plus the delta counters. `round` is -1
   /// for the base case, matching runtime::kBaseRound.
@@ -729,380 +767,13 @@ struct Engine {
     trace::observe(trace::Histogram::InductionRoundKills, removed);
   }
 
-  void run_base_phase() {
-    if (coi) {
-      run_localized_round(runtime::kBaseRound);
-      return;
-    }
-    trace::Span span("induction.base");
-    const std::size_t alive_before = popcount(alive);
-    const std::size_t sc0 = st.sat_calls;
-    const std::size_t ck0 = st.cex_kills;
-    const std::size_t bk0 = st.budget_kills;
-    span.arg("alive", static_cast<std::int64_t>(alive_before));
-    const int k = opt.k < 1 ? 1 : opt.k;
-    // Shared template: k frames from reset with the environment assumed.
-    sat::Solver tmpl;
-    std::vector<Frame> frames;
-    for (int j = 0; j < k; ++j) {
-      frames.push_back(enc.encode(tmpl));
-      if (j == 0) {
-        enc.fix_initial(tmpl, frames[0]);
-      } else {
-        enc.link(tmpl, frames[static_cast<std::size_t>(j - 1)],
-                 frames[static_cast<std::size_t>(j)]);
-      }
-      for (NetId a : env.assumes) tmpl.add_clause(frames.back().lit(a, true));
-    }
-
-    auto batches = shard_alive(alive, opt.batch_size);
-    std::vector<std::vector<std::uint32_t>> pending = batches;
-    std::vector<JobOutcome> outcomes(batches.size());
-    if (proc) fx.assign(batches.size(), {});
-    if (cache != nullptr) refresh_alive_hash();
-
-    runtime::Supervisor sup(supervisor_options());
-    const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
-    const auto job = [&](std::size_t jid, int /*attempt*/, const runtime::JobBudget& budget) {
-      attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
-      auto& members = pending[jid];
-      JobOutcome& out = outcomes[jid];
-      CacheKey key{};
-      if (cache != nullptr) {
-        key = global_job_key(0, runtime::kBaseRound, jid, members, budget);
-        if (const auto hit = cache_probe(jid, key)) return inject_outcome(*hit, members, out);
-      }
-      const std::size_t nk0 = out.kills.size();
-      const std::uint64_t sc0 = out.sat_calls;
-      std::uint64_t solve_us = 0;
-      bool att_certified = false;
-      std::uint64_t att_cert_hash = 0;
-      const runtime::JobStatus status = [&] {
-      sat::Solver s = tmpl;  // private copy; index-based state, so this is a deep copy
-      std::optional<sat::CertifySession> cert;
-      if (certify) cert.emplace(s);
-      const CertExport cert_export{cert, att_certified, att_cert_hash};
-      if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
-      arm_solver(s, budget);
-      sat::SolveLimits lim;
-      lim.conflict_budget = budget.conflicts;
-      lim.memory_bytes = budget.memory_bytes;
-      lim.interrupt = &sup.cancelled();
-      lim.interrupt2 = opt.interrupt;
-      const auto timed_solve = [&](sat::Solver& sv, Lit assumption, const sat::SolveLimits& l) {
-        SolveResult r;
-        if (!trace::collecting()) {
-          r = sv.solve({assumption}, l);
-        } else {
-          const auto t0 = Clock::now();
-          r = sv.solve({assumption}, l);
-          solve_us += micros_since(t0);
-        }
-        if (cert.has_value()) cert->check(r, {assumption}, "induction.base");
-        return r;
-      };
-
-      // Per-member "violated in some frame" aux, plus the aggregate trigger.
-      std::vector<Lit> member_any(members.size());
-      std::vector<std::vector<Lit>> member_aux(members.size());
-      const Lit trigger = sat::mk_lit(s.new_var());
-      std::vector<Lit> any_clause{~trigger};
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        std::vector<Lit> ors;
-        member_aux[m].reserve(frames.size());
-        for (const Frame& f : frames) {
-          member_aux[m].push_back(make_violation_aux(s, cands[members[m]], f));
-        }
-        member_any[m] = sat::mk_lit(s.new_var());
-        ors.push_back(~member_any[m]);
-        ors.insert(ors.end(), member_aux[m].begin(), member_aux[m].end());
-        s.add_clause(ors);
-        any_clause.push_back(member_any[m]);
-      }
-      s.add_clause(any_clause);
-
-      const auto retire = [&](std::size_t m) {
-        // Falsified or resolved: exclude from future aggregate models.
-        for (Lit ax : member_aux[m]) s.add_clause(~ax);
-        s.add_clause(~member_any[m]);
-      };
-      std::vector<char> job_killed(cands.size(), 0);
-      const auto kill_from_model = [&]() {
-        bool any_member = false;
-        for (std::uint32_t i = 0; i < cands.size(); ++i) {
-          if (!alive[i] || job_killed[i]) continue;
-          for (const Frame& f : frames) {
-            if (violated_in_model(s, cands[i], f)) {
-              job_killed[i] = 1;
-              out.kills.push_back(i);
-              break;
-            }
-          }
-        }
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          if (member_aux[m].empty()) continue;  // already retired
-          bool viol = false;
-          for (const Frame& f : frames) viol = viol || violated_in_model(s, cands[members[m]], f);
-          if (viol) {
-            retire(m);
-            member_aux[m].clear();
-            any_member = true;
-          }
-        }
-        return any_member;
-      };
-
-      for (;;) {
-        ++out.sat_calls;
-        const SolveResult r = timed_solve(s, trigger, lim);
-        if (r == SolveResult::Unsat) {
-          members.clear();
-          return runtime::JobStatus::Done;
-        }
-        if (r == SolveResult::Sat) {
-          if (!kill_from_model()) {
-            throw PdatError("induction base: aggregate model kills no batch member");
-          }
-          continue;
-        }
-        // Budget exhausted on the aggregate query: per-member sweep with a
-        // slice of the budget; unresolved members stay pending for retry.
-        sat::SolveLimits small = lim;
-        if (small.conflict_budget >= 0) small.conflict_budget = small.conflict_budget / 16 + 1;
-        std::vector<std::uint32_t> unresolved;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          if (member_aux[m].empty()) continue;  // already retired
-          ++out.sat_calls;
-          const SolveResult rm = timed_solve(s, member_any[m], small);
-          if (rm == SolveResult::Unsat) {
-            retire(m);
-            member_aux[m].clear();
-          } else if (rm == SolveResult::Sat) {
-            kill_from_model();
-            if (!member_aux[m].empty()) {
-              // The solver found a violating model the extraction missed:
-              // the member IS falsifiable, so kill it explicitly (retiring
-              // without a kill would let it survive the base case unsoundly).
-              out.kills.push_back(members[m]);
-              retire(m);
-              member_aux[m].clear();
-            }
-          } else {
-            unresolved.push_back(members[m]);
-          }
-        }
-        members = std::move(unresolved);
-        return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
-      }
-      }();
-      if (solve_us != 0) trace::add(trace::Counter::InductionSolveMicrosGlobal, solve_us);
-      cache_store(jid, key, status, out.sat_calls - sc0,
-                  {out.kills.begin() + static_cast<std::ptrdiff_t>(nk0), out.kills.end()},
-                  members, att_certified, att_cert_hash);
-      return status;
-    };
-
-    const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
-    // Note: batch members surviving in `pending` after a completed job are
-    // exactly the ones never falsified — nothing to do for them here. The
-    // model kills recorded in the outcomes remove the rest.
-    const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
-    round_telemetry(runtime::kBaseRound, alive_before, sc0, ck0, bk0, removed);
-    span.arg("killed", static_cast<std::int64_t>(removed));
-  }
-
-  /// One step round: asserts the current alive set at frames 0..k-1 and
-  /// dispatches batch jobs checking for violations at frame k. Returns the
-  /// number of candidates removed (0 = the alive set is the fixpoint).
-  std::size_t run_step_round(int round) {
-    if (coi) return run_localized_round(round);
-    trace::Span span("induction.round", {"round", round});
-    const std::size_t alive_before = popcount(alive);
-    const std::size_t sc0 = st.sat_calls;
-    const std::size_t ck0 = st.cex_kills;
-    const std::size_t bk0 = st.budget_kills;
-    span.arg("alive", static_cast<std::int64_t>(alive_before));
-    const int k = opt.k < 1 ? 1 : opt.k;
-    sat::Solver tmpl;
-    std::vector<Frame> frames;
-    for (int j = 0; j <= k; ++j) {
-      frames.push_back(enc.encode(tmpl));
-      if (j > 0) {
-        enc.link(tmpl, frames[static_cast<std::size_t>(j - 1)],
-                 frames[static_cast<std::size_t>(j)]);
-      }
-      for (NetId a : env.assumes) tmpl.add_clause(frames.back().lit(a, true));
-    }
-    // Round hypothesis: every alive candidate holds at frames 0..k-1. Hard
-    // clauses — kills are deferred to the round barrier (Jacobi iteration),
-    // which keeps every job a pure function of (round template, batch).
-    for (std::uint32_t i = 0; i < cands.size(); ++i) {
-      if (!alive[i]) continue;
-      for (int j = 0; j < k; ++j) {
-        assert_property(tmpl, cands[i], frames[static_cast<std::size_t>(j)]);
-      }
-    }
-    const Frame& fk = frames.back();
-
-    auto batches = shard_alive(alive, opt.batch_size);
-    std::vector<std::vector<std::uint32_t>> pending = batches;
-    std::vector<JobOutcome> outcomes(batches.size());
-    if (proc) fx.assign(batches.size(), {});
-    if (cache != nullptr) refresh_alive_hash();
-
-    runtime::Supervisor sup(supervisor_options());
-    const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
-    const auto job = [&](std::size_t jid, int /*attempt*/, const runtime::JobBudget& budget) {
-      attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
-      auto& members = pending[jid];
-      JobOutcome& out = outcomes[jid];
-      CacheKey key{};
-      if (cache != nullptr) {
-        key = global_job_key(1, round, jid, members, budget);
-        if (const auto hit = cache_probe(jid, key)) return inject_outcome(*hit, members, out);
-      }
-      const std::size_t nk0 = out.kills.size();
-      const std::uint64_t sc0 = out.sat_calls;
-      std::uint64_t solve_us = 0;
-      bool att_certified = false;
-      std::uint64_t att_cert_hash = 0;
-      const runtime::JobStatus status = [&] {
-      sat::Solver s = tmpl;
-      std::optional<sat::CertifySession> cert;
-      if (certify) cert.emplace(s);
-      const CertExport cert_export{cert, att_certified, att_cert_hash};
-      if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
-      arm_solver(s, budget);
-      sat::SolveLimits lim;
-      lim.conflict_budget = budget.conflicts;
-      lim.memory_bytes = budget.memory_bytes;
-      lim.interrupt = &sup.cancelled();
-      lim.interrupt2 = opt.interrupt;
-      const auto timed_solve = [&](sat::Solver& sv, Lit assumption, const sat::SolveLimits& l) {
-        SolveResult r;
-        if (!trace::collecting()) {
-          r = sv.solve({assumption}, l);
-        } else {
-          const auto t0 = Clock::now();
-          r = sv.solve({assumption}, l);
-          solve_us += micros_since(t0);
-        }
-        if (cert.has_value()) cert->check(r, {assumption}, "induction.step");
-        return r;
-      };
-
-      std::vector<Lit> aux(members.size());
-      const Lit trigger = sat::mk_lit(s.new_var());
-      std::vector<Lit> any_clause{~trigger};
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        aux[m] = make_violation_aux(s, cands[members[m]], fk);
-        any_clause.push_back(aux[m]);
-      }
-      s.add_clause(any_clause);
-
-      // Job-private replay state, constructed lazily on the first model.
-      std::unique_ptr<BitSim> sim;
-      std::unique_ptr<Environment> local_env;
-      Rng rng(opt.seed ^ fnv_mix(0x6a09e667f3bcc909ULL,
-                                 (static_cast<std::uint64_t>(round + 2) << 20) +
-                                     static_cast<std::uint64_t>(jid)));
-
-      // Members this job has already killed (by model or replay) are retired
-      // from the aggregate query so each model makes real progress — without
-      // this, replay kills would keep re-satisfying the trigger.
-      std::vector<char> job_killed(cands.size(), 0);
-      const auto record_kill = [&](std::uint32_t i) {
-        if (job_killed[i]) return;
-        job_killed[i] = 1;
-        out.kills.push_back(i);
-      };
-      const auto retire_killed_members = [&]() {
-        bool any = false;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          if (aux[m].x >= 0 && job_killed[members[m]]) {
-            s.add_clause(~aux[m]);
-            aux[m] = Lit();
-            any = true;
-          }
-        }
-        return any;
-      };
-
-      const auto kill_from_model = [&]() {
-        for (std::uint32_t i = 0; i < cands.size(); ++i) {
-          if (alive[i] && violated_in_model(s, cands[i], fk)) record_kill(i);
-        }
-        if (opt.cex_sim_cycles > 0) {
-          if (!sim) {
-            sim = std::make_unique<BitSim>(nl);
-            local_env = std::make_unique<Environment>(clone_environment(env));
-          }
-          cex_replay(s, fk, *sim, *local_env, rng, job_killed, out);
-        }
-        return retire_killed_members();
-      };
-
-      for (;;) {
-        ++out.sat_calls;
-        const SolveResult r = timed_solve(s, trigger, lim);
-        if (r == SolveResult::Unsat) {
-          members.clear();
-          return runtime::JobStatus::Done;
-        }
-        if (r == SolveResult::Sat) {
-          if (!kill_from_model()) {
-            throw PdatError("induction: aggregate model kills no batch member");
-          }
-          continue;
-        }
-        sat::SolveLimits small = lim;
-        if (small.conflict_budget >= 0) small.conflict_budget = small.conflict_budget / 16 + 1;
-        std::vector<std::uint32_t> unresolved;
-        std::vector<Lit> unresolved_aux;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          if (aux[m].x < 0) continue;
-          ++out.sat_calls;
-          const SolveResult rm = timed_solve(s, aux[m], small);
-          if (rm == SolveResult::Unsat) {
-            s.add_clause(~aux[m]);
-            aux[m] = Lit();
-          } else if (rm == SolveResult::Sat) {
-            kill_from_model();
-            if (aux[m].x >= 0) {
-              s.add_clause(~aux[m]);
-              aux[m] = Lit();
-              out.kills.push_back(members[m]);
-            }
-          } else {
-            unresolved.push_back(members[m]);
-            unresolved_aux.push_back(aux[m]);
-          }
-        }
-        members = std::move(unresolved);
-        return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
-      }
-      }();
-      if (solve_us != 0) trace::add(trace::Counter::InductionSolveMicrosGlobal, solve_us);
-      cache_store(jid, key, status, out.sat_calls - sc0,
-                  {out.kills.begin() + static_cast<std::ptrdiff_t>(nk0), out.kills.end()},
-                  members, att_certified, att_cert_hash);
-      return status;
-    };
-
-    const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
-    const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
-    round_telemetry(round, alive_before, sc0, ck0, bk0, removed);
-    span.arg("killed", static_cast<std::int64_t>(removed));
-    return removed;
-  }
-
-  /// One localized phase: the base case when round == runtime::kBaseRound,
-  /// otherwise step round `round`. Partitions the alive set into
-  /// support-closed cones (coi.h) and dispatches per-cone batch jobs over
-  /// lazily-built cone-local CNF templates — a round in which every batch
-  /// hits the proof cache never encodes a single clause. Kill sets equal
-  /// the global engine's by the equisatisfiability argument in coi.h.
-  std::size_t run_localized_round(int round) {
+  /// One round of the van Eijk fixpoint: the base case when round ==
+  /// runtime::kBaseRound, otherwise step round `round`. The alive set splits
+  /// into proof units (support-closed cones under COI, coi.h; otherwise the
+  /// whole netlist), each unit's members are sharded into batch jobs, every
+  /// job runs the same body, and one barrier merges their kills. Returns the
+  /// number of candidates removed (0 after a step round: the fixpoint).
+  std::size_t run_round(int round) {
     const bool base = round == runtime::kBaseRound;
     trace::Span span(base ? "induction.base" : "induction.round");
     if (!base) span.arg("round", round);
@@ -1113,79 +784,69 @@ struct Engine {
     span.arg("alive", static_cast<std::int64_t>(alive_before));
     const int k = opt.k < 1 ? 1 : opt.k;
 
-    const bool timed = trace::collecting();
-    auto t0 = timed ? Clock::now() : Clock::time_point{};
-    const ConePartition part = partition_cones(nl, enc.levels(), cands, alive, env.assumes);
-    std::uint64_t partition_us = timed ? micros_since(t0) : 0;
-    st.coi_cones += part.cones.size();
-    trace::add(trace::Counter::CoiPartitions, 1);
-    trace::add(trace::Counter::CoiCones, part.cones.size());
-    for (const Cone& c : part.cones) {
-      trace::add(trace::Counter::CoiConeCandidates, c.candidates.size());
-      trace::observe(trace::Histogram::CoiConeCells, c.comb.size() + c.flops.size());
+    ConePartition part;
+    std::vector<std::uint32_t> all_cands, alive_cands;  // the whole-netlist unit's
+    std::vector<ProofUnit> units;
+    if (coi) {
+      const bool timed = trace::collecting();
+      const auto t0 = timed ? Clock::now() : Clock::time_point{};
+      part = partition_cones(nl, enc.levels(), cands, alive, env.assumes);
+      st.coi_cones += part.cones.size();
+      trace::add(trace::Counter::CoiPartitions, 1);
+      trace::add(trace::Counter::CoiCones, part.cones.size());
+      for (const Cone& c : part.cones) {
+        trace::add(trace::Counter::CoiConeCandidates, c.candidates.size());
+        trace::observe(trace::Histogram::CoiConeCells, c.comb.size() + c.flops.size());
+        units.push_back({&c, c.candidates, c.candidates, {}});
+        if (cache != nullptr) units.back().fingerprint = cone_fingerprint(nl, c, cands);
+      }
+      if (timed) trace::add(trace::Counter::InductionPartitionMicros, micros_since(t0));
+    } else {
+      all_cands.resize(cands.size());
+      std::iota(all_cands.begin(), all_cands.end(), 0u);
+      for (const std::uint32_t i : all_cands) {
+        if (alive[i]) alive_cands.push_back(i);
+      }
+      units.push_back({nullptr, all_cands, alive_cands, {}});
+      if (cache != nullptr) refresh_alive_hash();
     }
 
-    // Batches: cones in deterministic order, each cone's candidates sharded
-    // by batch_size (mirrors shard_alive, per cone).
+    // Batches: units in order, each unit's members sharded by batch_size.
+    // Batching depends only on the alive set and batch_size, never on the
+    // thread count.
     std::vector<std::vector<std::uint32_t>> batches;
-    std::vector<std::size_t> batch_cone;
+    std::vector<std::size_t> batch_unit;
     const std::size_t bsz = opt.batch_size < 1 ? 1 : static_cast<std::size_t>(opt.batch_size);
-    for (std::size_t ci = 0; ci < part.cones.size(); ++ci) {
-      const auto& cc = part.cones[ci].candidates;
-      for (std::size_t off = 0; off < cc.size(); off += bsz) {
-        batches.emplace_back(cc.begin() + static_cast<std::ptrdiff_t>(off),
-                             cc.begin() + static_cast<std::ptrdiff_t>(
-                                              std::min(cc.size(), off + bsz)));
-        batch_cone.push_back(ci);
+    for (std::size_t ui = 0; ui < units.size(); ++ui) {
+      const auto& mm = units[ui].members;
+      for (std::size_t off = 0; off < mm.size(); off += bsz) {
+        const std::size_t end = std::min(mm.size(), off + bsz);
+        batches.emplace_back(mm.begin() + static_cast<std::ptrdiff_t>(off),
+                             mm.begin() + static_cast<std::ptrdiff_t>(end));
+        batch_unit.push_back(ui);
       }
     }
     std::vector<std::vector<std::uint32_t>> pending = batches;
     std::vector<JobOutcome> outcomes(batches.size());
     if (proc) fx.assign(batches.size(), {});
 
-    std::vector<CacheKey> fps(part.cones.size());
-    if (cache != nullptr) {
-      if (timed) t0 = Clock::now();
-      for (std::size_t ci = 0; ci < part.cones.size(); ++ci) {
-        fps[ci] = cone_fingerprint(nl, part.cones[ci], cands);
+    std::vector<std::unique_ptr<UnitTemplate>> templates(units.size());
+    std::deque<std::once_flag> built(units.size());
+    const auto build_template = [&](std::size_t ui) {
+      const ProofUnit& u = units[ui];
+      auto t = std::make_unique<UnitTemplate>();
+      if (u.cone == nullptr) {
+        encode_template(enc, env.assumes, cands, u.members, base, k, t->solver, t->frames);
+      } else {
+        encode_template(ConeEncoder(nl, *u.cone), u.cone->assumes, cands, u.members, base, k,
+                        t->solver, t->frames);
       }
-      if (timed) partition_us += micros_since(t0);
-    }
-    if (timed) trace::add(trace::Counter::InductionPartitionMicros, partition_us);
-
-    struct ConeTemplate {
-      sat::Solver solver;
-      std::vector<Frame> frames;
+      templates[ui] = std::move(t);
     };
-    std::vector<std::unique_ptr<ConeTemplate>> templates(part.cones.size());
-    std::deque<std::once_flag> built(part.cones.size());
-    const auto build_template = [&](std::size_t ci) {
-      const Cone& cone = part.cones[ci];
-      auto t = std::make_unique<ConeTemplate>();
-      const ConeEncoder cenc(nl, cone);
-      const int last = base ? k - 1 : k;
-      for (int j = 0; j <= last; ++j) {
-        t->frames.push_back(cenc.encode(t->solver));
-        if (j == 0) {
-          if (base) cenc.fix_initial(t->solver, t->frames[0]);
-        } else {
-          cenc.link(t->solver, t->frames[static_cast<std::size_t>(j - 1)],
-                    t->frames[static_cast<std::size_t>(j)]);
-        }
-        for (const NetId a : cone.assumes) t->solver.add_clause(t->frames.back().lit(a, true));
-      }
-      if (!base) {
-        // Round hypothesis: every alive candidate of the cone at frames
-        // 0..k-1. Candidates in other cones have disjoint support, so their
-        // hypothesis clauses factor out (coi.h closure 3).
-        for (const std::uint32_t i : cone.candidates) {
-          for (int j = 0; j < k; ++j) {
-            assert_property(t->solver, cands[i], t->frames[static_cast<std::size_t>(j)]);
-          }
-        }
-      }
-      templates[ci] = std::move(t);
-    };
+    // The whole-netlist template is built before dispatch, so process-mode
+    // children inherit it through fork. Cone templates are built on first
+    // use, so a round whose every job hits the proof cache encodes nothing.
+    if (!coi) std::call_once(built[0], build_template, 0);
 
     runtime::Supervisor sup(supervisor_options());
     const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
@@ -1193,38 +854,22 @@ struct Engine {
       attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
       auto& members = pending[jid];
       JobOutcome& out = outcomes[jid];
-      const std::size_t ci = batch_cone[jid];
-      const Cone& cone = part.cones[ci];
-      // Cache payloads store candidates as positions in the cone's
-      // canonical (ascending) candidate order, so an entry written by one
-      // run is meaningful to any later run with an isomorphic cone.
-      const auto cone_pos = [&](std::uint32_t cand) {
-        const auto it = std::lower_bound(cone.candidates.begin(), cone.candidates.end(), cand);
-        return static_cast<std::uint32_t>(it - cone.candidates.begin());
-      };
+      const std::size_t ui = batch_unit[jid];
+      const ProofUnit& unit = units[ui];
+      const bool global = unit.cone == nullptr;
       CacheKey key{};
       if (cache != nullptr) {
-        Fnv128 h;
-        h.str("pdat-coi-job-v2");  // v2: certified payloads, see CachedOutcome
-        h.u64(fps[ci].lo);
-        h.u64(fps[ci].hi);
-        h.u32(base ? 0u : 1u);
-        h.u32(static_cast<std::uint32_t>(k));
-        h.u64(members.size());
-        for (const std::uint32_t m : members) h.u32(cone_pos(m));
-        h.u64(static_cast<std::uint64_t>(budget.conflicts));
-        h.u64(budget.memory_bytes);
-        key = h.digest();
+        key = job_key(unit, base, k, round, jid, members, budget);
         if (const auto hit = cache_probe(jid, key)) {
           // (cache_probe already rejected uncertified hits under --certify.)
           bool in_range = true;
-          for (const std::uint32_t p : hit->kills) in_range = in_range && p < cone.candidates.size();
-          for (const std::uint32_t p : hit->pending) in_range = in_range && p < cone.candidates.size();
+          for (const std::uint32_t p : hit->kills) in_range = in_range && p < unit.space.size();
+          for (const std::uint32_t p : hit->pending) in_range = in_range && p < unit.space.size();
           if (in_range) {
             out.sat_calls += hit->sat_calls;
-            for (const std::uint32_t p : hit->kills) out.kills.push_back(cone.candidates[p]);
+            for (const std::uint32_t p : hit->kills) out.kills.push_back(unit.space[p]);
             members.clear();
-            for (const std::uint32_t p : hit->pending) members.push_back(cone.candidates[p]);
+            for (const std::uint32_t p : hit->pending) members.push_back(unit.space[p]);
             return hit->done ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
           }
         }
@@ -1235,9 +880,9 @@ struct Engine {
       bool att_certified = false;
       std::uint64_t att_cert_hash = 0;
       const runtime::JobStatus status = [&] {
-        std::call_once(built[ci], build_template, ci);
-        const ConeTemplate& tmpl = *templates[ci];
-        sat::Solver s = tmpl.solver;
+        std::call_once(built[ui], build_template, ui);
+        const UnitTemplate& tmpl = *templates[ui];
+        sat::Solver s = tmpl.solver;  // private copy; index-based state, so a deep copy
         std::optional<sat::CertifySession> cert;
         if (certify) cert.emplace(s);
         const CertExport cert_export{cert, att_certified, att_cert_hash};
@@ -1248,6 +893,7 @@ struct Engine {
         lim.memory_bytes = budget.memory_bytes;
         lim.interrupt = &sup.cancelled();
         lim.interrupt2 = opt.interrupt;
+        const char* where = !global ? "induction.coi" : base ? "induction.base" : "induction.step";
         const auto timed_solve = [&](Lit assumption, const sat::SolveLimits& l) {
           SolveResult r;
           if (!trace::collecting()) {
@@ -1257,7 +903,7 @@ struct Engine {
             r = s.solve({assumption}, l);
             solve_us += micros_since(t0);
           }
-          if (cert.has_value()) cert->check(r, {assumption}, "induction.coi");
+          if (cert.has_value()) cert->check(r, {assumption}, where);
           return r;
         };
         // Frames to check: every base frame, or frame k for the step.
@@ -1268,6 +914,11 @@ struct Engine {
           check.push_back(&tmpl.frames.back());
         }
 
+        // One violation literal per member and checked frame, joined by a
+        // per-member selector ("violated in some checked frame"). Global
+        // step jobs check one frame and use its literal as the selector
+        // directly; every recorded SAT-call count depends on that choice.
+        const bool selector = base || !global;
         std::vector<Lit> member_any(members.size());
         std::vector<std::vector<Lit>> member_aux(members.size());
         const Lit trigger = sat::mk_lit(s.new_var());
@@ -1277,27 +928,40 @@ struct Engine {
           for (const Frame* f : check) {
             member_aux[m].push_back(make_violation_aux(s, cands[members[m]], *f));
           }
-          member_any[m] = sat::mk_lit(s.new_var());
-          std::vector<Lit> ors{~member_any[m]};
-          ors.insert(ors.end(), member_aux[m].begin(), member_aux[m].end());
-          s.add_clause(ors);
+          if (selector) {
+            member_any[m] = sat::mk_lit(s.new_var());
+            std::vector<Lit> ors{~member_any[m]};
+            ors.insert(ors.end(), member_aux[m].begin(), member_aux[m].end());
+            s.add_clause(ors);
+          } else {
+            member_any[m] = member_aux[m].front();
+          }
           any_clause.push_back(member_any[m]);
         }
         s.add_clause(any_clause);
 
+        // Falsified or resolved: exclude from future aggregate models.
         const auto retire = [&](std::size_t m) {
           for (const Lit ax : member_aux[m]) s.add_clause(~ax);
-          s.add_clause(~member_any[m]);
+          if (selector) s.add_clause(~member_any[m]);
           member_aux[m].clear();
         };
-        // Model kills scan only the cone's candidates: a cone-local model
-        // has no variables (and no meaning) outside the cone. No replay for
-        // the same reason — there is no whole-netlist frame-k state to load.
+        // Job-private replay state, constructed on the first model. Only
+        // global step jobs replay: a cone-local model has no whole-netlist
+        // frame-k state to load, and the base case starts from reset.
+        const bool replay = global && !base && opt.cex_sim_cycles > 0;
+        std::unique_ptr<BitSim> sim;
+        std::unique_ptr<Environment> local_env;
+        std::optional<Rng> rng;
+        // Members this job has already killed (by model or replay) are
+        // retired from the aggregate query so each model makes real
+        // progress; without this, replay kills would keep re-satisfying the
+        // trigger. Model kills scan the unit's candidates only: a cone-local
+        // model has no variables (and no meaning) outside the cone.
         std::vector<char> job_killed(cands.size(), 0);
         const auto kill_from_model = [&] {
-          bool any_member = false;
-          for (const std::uint32_t i : cone.candidates) {
-            if (job_killed[i]) continue;
+          for (const std::uint32_t i : unit.space) {
+            if (!alive[i] || job_killed[i]) continue;
             for (const Frame* f : check) {
               if (violated_in_model(s, cands[i], *f)) {
                 job_killed[i] = 1;
@@ -1306,9 +970,19 @@ struct Engine {
               }
             }
           }
+          if (replay) {
+            if (!sim) {
+              sim = std::make_unique<BitSim>(nl);
+              local_env = std::make_unique<Environment>(clone_environment(env));
+              rng.emplace(opt.seed ^ fnv_mix(0x6a09e667f3bcc909ULL,
+                                             (static_cast<std::uint64_t>(round + 2) << 20) +
+                                                 static_cast<std::uint64_t>(jid)));
+            }
+            cex_replay(s, *check.back(), *sim, *local_env, *rng, job_killed, out);
+          }
+          bool any_member = false;
           for (std::size_t m = 0; m < members.size(); ++m) {
-            if (member_aux[m].empty()) continue;
-            if (job_killed[members[m]]) {
+            if (!member_aux[m].empty() && job_killed[members[m]]) {
               retire(m);
               any_member = true;
             }
@@ -1325,15 +999,17 @@ struct Engine {
           }
           if (r == SolveResult::Sat) {
             if (!kill_from_model()) {
-              throw PdatError("induction(coi): aggregate model kills no batch member");
+              throw PdatError(std::string(where) + ": aggregate model kills no batch member");
             }
             continue;
           }
+          // Budget exhausted on the aggregate query: per-member sweep with a
+          // slice of the budget; unresolved members stay pending for retry.
           sat::SolveLimits small = lim;
           if (small.conflict_budget >= 0) small.conflict_budget = small.conflict_budget / 16 + 1;
           std::vector<std::uint32_t> unresolved;
           for (std::size_t m = 0; m < members.size(); ++m) {
-            if (member_aux[m].empty()) continue;
+            if (member_aux[m].empty()) continue;  // already retired
             ++out.sat_calls;
             const SolveResult rm = timed_solve(member_any[m], small);
             if (rm == SolveResult::Unsat) {
@@ -1341,8 +1017,9 @@ struct Engine {
             } else if (rm == SolveResult::Sat) {
               kill_from_model();
               if (!member_aux[m].empty()) {
-                // Violating model whose extraction missed the member: it IS
-                // falsifiable, kill explicitly (mirrors the global engine).
+                // The solver found a violating model the extraction missed:
+                // the member IS falsifiable, so kill it explicitly (retiring
+                // without a kill would let it survive unsoundly).
                 out.kills.push_back(members[m]);
                 retire(m);
               }
@@ -1354,22 +1031,33 @@ struct Engine {
           return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
         }
       }();
-      if (solve_us != 0) trace::add(trace::Counter::InductionSolveMicrosLocalized, solve_us);
+      if (solve_us != 0) {
+        trace::add(global ? trace::Counter::InductionSolveMicrosGlobal
+                          : trace::Counter::InductionSolveMicrosLocalized,
+                   solve_us);
+      }
       if (cache != nullptr) {
-        std::vector<std::uint32_t> kill_pos;
-        for (auto it = out.kills.begin() + static_cast<std::ptrdiff_t>(nk0);
-             it != out.kills.end(); ++it) {
-          kill_pos.push_back(cone_pos(*it));
-        }
-        std::vector<std::uint32_t> pend_pos;
-        for (const std::uint32_t m : members) pend_pos.push_back(cone_pos(m));
-        cache_store(jid, key, status, out.sat_calls - sc0j, kill_pos, pend_pos,
-                    att_certified, att_cert_hash);
+        // Payloads store candidates as positions in the unit's space, so an
+        // entry written by one run is meaningful to any later run with an
+        // isomorphic cone.
+        const auto positions = [&](auto first, auto last) {
+          std::vector<std::uint32_t> p;
+          p.reserve(static_cast<std::size_t>(last - first));
+          for (; first != last; ++first) p.push_back(unit.position(*first));
+          return p;
+        };
+        cache_store(jid, key, status, out.sat_calls - sc0j,
+                    positions(out.kills.begin() + static_cast<std::ptrdiff_t>(nk0),
+                              out.kills.end()),
+                    positions(members.begin(), members.end()), att_certified, att_cert_hash);
       }
       return status;
     };
 
     const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
+    // Batch members surviving in `pending` after a completed job are exactly
+    // the ones never falsified; the kills recorded in the outcomes remove
+    // the rest.
     const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
     round_telemetry(round, alive_before, sc0, ck0, bk0, removed);
     span.arg("killed", static_cast<std::int64_t>(removed));
@@ -1492,7 +1180,7 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
 
   // --- base case ------------------------------------------------------------
   if (!finished && !base_done) {
-    if (!dl.expired()) eng.run_base_phase();
+    if (!dl.expired()) eng.run_round(runtime::kBaseRound);
     if (st.timed_out) {
       log_warn() << "induction: deadline expired during base case; proving nothing";
       finalize_cache();
@@ -1509,7 +1197,7 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
     for (int round = next_round;; ++round) {
       if (dl.expired()) break;
       if (popcount(eng.alive) == 0) break;
-      const std::size_t removed = eng.run_step_round(round);
+      const std::size_t removed = eng.run_round(round);
       if (st.timed_out || dl.expired()) break;
       st.rounds = round + 1;
       if (removed == 0) {

@@ -17,8 +17,8 @@
 #include "pdat/errors.h"
 #include "pdat/pipeline.h"
 #include "synth/builder.h"
+#include "json.h"
 #include "test_util.h"
-#include "trace/json.h"
 #include "trace/metrics.h"
 #include "trace/registry.h"
 #include "trace/trace.h"
