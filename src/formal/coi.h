@@ -25,9 +25,12 @@
 // SAT locally extends to a global model by choosing out-of-cone frame-0
 // state freely from any allowed execution (which exists whenever the base
 // case passed and the environment is non-vacuous) and evaluating the rest
-// forward. Per-round kill sets — and therefore the proved fixpoint — are
-// identical by construction; tests/test_coi_fuzz.cpp enforces this
-// differentially against the global engine.
+// forward. A candidate is killed only by a model in which every live
+// hypothesis holds at frame 0, so no member of the greatest inductive subset
+// is ever killed: however the kills are scheduled (Jacobi rounds globally, a
+// cone run to closure locally), the proved set is that unique greatest
+// inductive subset. tests/test_coi_fuzz.cpp enforces this differentially
+// against the global engine.
 //
 // Each cone also has a canonical content fingerprint (nets renumbered by
 // deterministic BFS from the candidate seeds) used by the proof cache to

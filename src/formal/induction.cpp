@@ -64,15 +64,47 @@ Lit make_violation_aux(sat::Solver& s, const GateProperty& p, const Frame& f) {
   throw PdatError("make_violation_aux: bad kind");
 }
 
-/// Asserts a property as a hard constraint in frame `f`.
-void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f) {
+/// A closure job's trigger disjunction is a two-level OR tree of this fan-in.
+/// Inside one solve its thousands of member selectors fall false one by one,
+/// and a single wide clause rescans every false literal each time a watch
+/// moves: quadratic in the members, and most of the solve time on Ibex.
+constexpr std::size_t kClosureTriggerFanIn = 128;
+
+/// trigger -> some literal of `any` holds, as one clause when `any` has at
+/// most `fan_in` literals, else through one fresh group literal per
+/// `fan_in` of them.
+void add_trigger(sat::Solver& s, Lit trigger, const std::vector<Lit>& any, std::size_t fan_in) {
+  std::vector<Lit> top{~trigger};
+  if (any.size() <= fan_in) {
+    top.insert(top.end(), any.begin(), any.end());
+  } else {
+    for (std::size_t off = 0; off < any.size(); off += fan_in) {
+      const Lit g = sat::mk_lit(s.new_var());
+      std::vector<Lit> group{~g};
+      group.insert(group.end(), any.begin() + static_cast<std::ptrdiff_t>(off),
+                   any.begin() + static_cast<std::ptrdiff_t>(std::min(any.size(), off + fan_in)));
+      s.add_clause(std::move(group));
+      top.push_back(g);
+    }
+  }
+  s.add_clause(std::move(top));
+}
+
+/// Asserts a property in frame `f`: as a hard constraint, or, given a
+/// `guard` literal, as (guard ∨ property), which a true guard switches off.
+void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f,
+                     std::optional<Lit> guard = std::nullopt) {
+  const auto clause = [&](std::vector<Lit> c) {
+    if (guard.has_value()) c.push_back(*guard);
+    s.add_clause(std::move(c));
+  };
   switch (p.kind) {
-    case PropKind::Const0: s.add_clause(f.lit(p.target, false)); break;
-    case PropKind::Const1: s.add_clause(f.lit(p.target, true)); break;
-    case PropKind::Implies: s.add_clause(f.lit(p.a, false), f.lit(p.b, true)); break;
+    case PropKind::Const0: clause({f.lit(p.target, false)}); break;
+    case PropKind::Const1: clause({f.lit(p.target, true)}); break;
+    case PropKind::Implies: clause({f.lit(p.a, false), f.lit(p.b, true)}); break;
     case PropKind::Equiv:
-      s.add_clause(f.lit(p.a, false), f.lit(p.b, true));
-      s.add_clause(f.lit(p.a, true), f.lit(p.b, false));
+      clause({f.lit(p.a, false), f.lit(p.b, true)});
+      clause({f.lit(p.a, true), f.lit(p.b, false)});
       break;
   }
 }
@@ -124,6 +156,11 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// Names the cone-local step job, which runs its cone to closure. It keys
+/// those jobs' cache records and binds COI journals, so neither is ever read
+/// by (or as) the one-round-per-job engine that came before it.
+constexpr const char* kCoiClosureTag = "pdat-coi-closure-v1";
+
 /// Fingerprint binding a journal to a proof problem: the candidate list plus
 /// every option that can change verdicts (worker count deliberately
 /// excluded — it must not).
@@ -155,6 +192,11 @@ std::uint64_t proof_fingerprint(const Netlist& nl, const std::vector<GatePropert
   // verdicts under ample budgets), so it binds the journal. The cache path
   // deliberately does not: warm and cold runs are interchangeable.
   h = fnv_mix(h, coi_active ? 1 : 0);
+  if (coi_active) {
+    for (const char* c = kCoiClosureTag; *c != '\0'; ++c) {
+      h = fnv_mix(h, static_cast<unsigned char>(*c));
+    }
+  }
   return h;
 }
 
@@ -242,14 +284,18 @@ struct JobOutcome {
 /// the whole netlist, ConeEncoder for one cone). The base case unrolls
 /// frames 0..k-1 from the initial state; a step round unrolls frames 0..k
 /// from a free state and asserts the round hypothesis, every candidate in
-/// `hyp`, at frames 0..k-1. The assumes hold in every frame. Hypotheses are
-/// hard clauses: kills are deferred to the round barrier (Jacobi
-/// iteration), which keeps every job a pure function of (template, batch).
+/// `hyp`, at frames 0..k-1. The assumes hold in every frame.
+///
+/// Without `retire`, hypotheses are hard clauses and kills are deferred to
+/// the round barrier (Jacobi iteration). With it, hypothesis i is asserted
+/// as (r_i ∨ P_i) for a fresh retire literal r_i, appended to `retire` in
+/// `hyp` order: a closure job assumes ¬r_i while candidate i lives and adds
+/// the unit r_i when it kills it.
 template <class Encoder>
 void encode_template(const Encoder& enc, const std::vector<NetId>& assumes,
                      const std::vector<GateProperty>& cands,
                      std::span<const std::uint32_t> hyp, bool base, int k, sat::Solver& s,
-                     std::vector<Frame>& frames) {
+                     std::vector<Frame>& frames, std::vector<Lit>* retire) {
   const int nframes = base ? k : k + 1;
   for (int j = 0; j < nframes; ++j) {
     frames.push_back(enc.encode(s));
@@ -262,7 +308,11 @@ void encode_template(const Encoder& enc, const std::vector<NetId>& assumes,
   }
   if (base) return;
   for (const std::uint32_t i : hyp) {
-    for (int j = 0; j < k; ++j) assert_property(s, cands[i], frames[static_cast<std::size_t>(j)]);
+    std::optional<Lit> guard;
+    if (retire != nullptr) guard = retire->emplace_back(sat::mk_lit(s.new_var()));
+    for (int j = 0; j < k; ++j) {
+      assert_property(s, cands[i], frames[static_cast<std::size_t>(j)], guard);
+    }
   }
 }
 
@@ -305,6 +355,7 @@ struct ProofUnit {
 struct UnitTemplate {
   sat::Solver solver;
   std::vector<Frame> frames;
+  std::vector<Lit> retire;  // closure templates: one per unit member, in order
 };
 
 /// The engine state shared by the base and step phases.
@@ -571,7 +622,8 @@ struct Engine {
         h.u64(jid);
       }
     } else {
-      h.str("pdat-coi-job-v2");  // v2: certified payloads, see CachedOutcome
+      // v2: certified payloads, see CachedOutcome. Step jobs run to closure.
+      h.str(base ? "pdat-coi-job-v2" : kCoiClosureTag);
       h.u64(u.fingerprint.lo);
       h.u64(u.fingerprint.hi);
       h.u32(base ? 0u : 1u);
@@ -773,6 +825,11 @@ struct Engine {
   /// whole netlist), each unit's members are sharded into batch jobs, every
   /// job runs the same body, and one barrier merges their kills. Returns the
   /// number of candidates removed (0 after a step round: the fixpoint).
+  ///
+  /// A cone's step unit is one *closure* job over all its members: it runs
+  /// the cone's fixpoint to its end on one incremental solver, retiring each
+  /// killed candidate's hypothesis at once, so the next round only confirms
+  /// it with one UNSAT call per cone.
   std::size_t run_round(int round) {
     const bool base = round == runtime::kBaseRound;
     trace::Span span(base ? "induction.base" : "induction.round");
@@ -811,16 +868,18 @@ struct Engine {
       if (cache != nullptr) refresh_alive_hash();
     }
 
-    // Batches: units in order, each unit's members sharded by batch_size.
-    // Batching depends only on the alive set and batch_size, never on the
-    // thread count.
+    // Batches: units in order, each unit's members sharded by batch_size
+    // (a closure job takes its whole unit). Batching depends only on the
+    // alive set and batch_size, never on the thread count.
     std::vector<std::vector<std::uint32_t>> batches;
     std::vector<std::size_t> batch_unit;
+    const bool closure = coi && !base;
     const std::size_t bsz = opt.batch_size < 1 ? 1 : static_cast<std::size_t>(opt.batch_size);
     for (std::size_t ui = 0; ui < units.size(); ++ui) {
       const auto& mm = units[ui].members;
-      for (std::size_t off = 0; off < mm.size(); off += bsz) {
-        const std::size_t end = std::min(mm.size(), off + bsz);
+      const std::size_t step = closure ? mm.size() : bsz;
+      for (std::size_t off = 0; off < mm.size(); off += step) {
+        const std::size_t end = std::min(mm.size(), off + step);
         batches.emplace_back(mm.begin() + static_cast<std::ptrdiff_t>(off),
                              mm.begin() + static_cast<std::ptrdiff_t>(end));
         batch_unit.push_back(ui);
@@ -833,15 +892,19 @@ struct Engine {
     std::vector<std::unique_ptr<UnitTemplate>> templates(units.size());
     std::deque<std::once_flag> built(units.size());
     const auto build_template = [&](std::size_t ui) {
+      const bool timed = trace::collecting();
+      const auto t0 = timed ? Clock::now() : Clock::time_point{};
       const ProofUnit& u = units[ui];
       auto t = std::make_unique<UnitTemplate>();
       if (u.cone == nullptr) {
-        encode_template(enc, env.assumes, cands, u.members, base, k, t->solver, t->frames);
+        encode_template(enc, env.assumes, cands, u.members, base, k, t->solver, t->frames,
+                        nullptr);
       } else {
         encode_template(ConeEncoder(nl, *u.cone), u.cone->assumes, cands, u.members, base, k,
-                        t->solver, t->frames);
+                        t->solver, t->frames, closure ? &t->retire : nullptr);
       }
       templates[ui] = std::move(t);
+      if (timed) trace::add(trace::Counter::InductionEncodeMicros, micros_since(t0));
     };
     // The whole-netlist template is built before dispatch, so process-mode
     // children inherit it through fork. Cone templates are built on first
@@ -881,6 +944,8 @@ struct Engine {
       std::uint64_t att_cert_hash = 0;
       const runtime::JobStatus status = [&] {
         std::call_once(built[ui], build_template, ui);
+        const bool timed = trace::collecting();
+        const auto te = timed ? Clock::now() : Clock::time_point{};
         const UnitTemplate& tmpl = *templates[ui];
         sat::Solver s = tmpl.solver;  // private copy; index-based state, so a deep copy
         std::optional<sat::CertifySession> cert;
@@ -894,16 +959,17 @@ struct Engine {
         lim.interrupt = &sup.cancelled();
         lim.interrupt2 = opt.interrupt;
         const char* where = !global ? "induction.coi" : base ? "induction.base" : "induction.step";
-        const auto timed_solve = [&](Lit assumption, const sat::SolveLimits& l) {
+        const auto timed_solve = [&](const std::vector<Lit>& assumptions,
+                                     const sat::SolveLimits& l) {
           SolveResult r;
           if (!trace::collecting()) {
-            r = s.solve({assumption}, l);
+            r = s.solve(assumptions, l);
           } else {
             const auto t0 = Clock::now();
-            r = s.solve({assumption}, l);
+            r = s.solve(assumptions, l);
             solve_us += micros_since(t0);
           }
-          if (cert.has_value()) cert->check(r, {assumption}, where);
+          if (cert.has_value()) cert->check(r, assumptions, where);
           return r;
         };
         // Frames to check: every base frame, or frame k for the step.
@@ -922,7 +988,6 @@ struct Engine {
         std::vector<Lit> member_any(members.size());
         std::vector<std::vector<Lit>> member_aux(members.size());
         const Lit trigger = sat::mk_lit(s.new_var());
-        std::vector<Lit> any_clause{~trigger};
         for (std::size_t m = 0; m < members.size(); ++m) {
           member_aux[m].reserve(check.size());
           for (const Frame* f : check) {
@@ -936,15 +1001,42 @@ struct Engine {
           } else {
             member_any[m] = member_aux[m].front();
           }
-          any_clause.push_back(member_any[m]);
         }
-        s.add_clause(any_clause);
+        add_trigger(s, trigger, member_any, closure ? kClosureTriggerFanIn : member_any.size());
+
+        // Members this job has already killed (by model or replay) are
+        // retired from the aggregate query so each model makes real
+        // progress; without this, replay kills would keep re-satisfying the
+        // trigger. A closure job also retires a killed member's hypothesis,
+        // and its attempt starts with the hypotheses of its earlier attempts'
+        // kills retired (the template covers the whole unit: a cone unit's
+        // members are its space).
+        std::vector<char> job_killed(cands.size(), 0);
+        std::vector<Lit> hyp_retire;  // closure: member m's retire literal
+        if (closure) {
+          for (const std::uint32_t i : members) hyp_retire.push_back(tmpl.retire[unit.position(i)]);
+          for (const std::uint32_t i : out.kills) {
+            job_killed[i] = 1;
+            s.add_clause(tmpl.retire[unit.position(i)]);
+          }
+        }
+        if (timed) trace::add(trace::Counter::InductionEncodeMicros, micros_since(te));
 
         // Falsified or resolved: exclude from future aggregate models.
         const auto retire = [&](std::size_t m) {
           for (const Lit ax : member_aux[m]) s.add_clause(~ax);
           if (selector) s.add_clause(~member_any[m]);
           member_aux[m].clear();
+          if (closure) s.add_clause(hyp_retire[m]);
+        };
+        // The aggregate query: some live member is violated, and (closure
+        // jobs) every live member's hypothesis holds.
+        const auto aggregate = [&] {
+          std::vector<Lit> a{trigger};
+          for (std::size_t m = 0; m < hyp_retire.size(); ++m) {
+            if (!member_aux[m].empty()) a.push_back(~hyp_retire[m]);
+          }
+          return a;
         };
         // Job-private replay state, constructed on the first model. Only
         // global step jobs replay: a cone-local model has no whole-netlist
@@ -953,12 +1045,8 @@ struct Engine {
         std::unique_ptr<BitSim> sim;
         std::unique_ptr<Environment> local_env;
         std::optional<Rng> rng;
-        // Members this job has already killed (by model or replay) are
-        // retired from the aggregate query so each model makes real
-        // progress; without this, replay kills would keep re-satisfying the
-        // trigger. Model kills scan the unit's candidates only: a cone-local
-        // model has no variables (and no meaning) outside the cone.
-        std::vector<char> job_killed(cands.size(), 0);
+        // Model kills scan the unit's candidates only: a cone-local model has
+        // no variables (and no meaning) outside the cone.
         const auto kill_from_model = [&] {
           for (const std::uint32_t i : unit.space) {
             if (!alive[i] || job_killed[i]) continue;
@@ -992,7 +1080,7 @@ struct Engine {
 
         for (;;) {
           ++out.sat_calls;
-          const SolveResult r = timed_solve(trigger, lim);
+          const SolveResult r = timed_solve(aggregate(), lim);
           if (r == SolveResult::Unsat) {
             members.clear();
             return runtime::JobStatus::Done;
@@ -1003,6 +1091,16 @@ struct Engine {
             }
             continue;
           }
+          if (closure) {
+            // A survivor is proved only by an UNSAT aggregate query over all
+            // survivors: keep every one pending for the retry.
+            std::vector<std::uint32_t> survivors;
+            for (std::size_t m = 0; m < members.size(); ++m) {
+              if (!member_aux[m].empty()) survivors.push_back(members[m]);
+            }
+            members = std::move(survivors);
+            return runtime::JobStatus::Retry;
+          }
           // Budget exhausted on the aggregate query: per-member sweep with a
           // slice of the budget; unresolved members stay pending for retry.
           sat::SolveLimits small = lim;
@@ -1011,7 +1109,7 @@ struct Engine {
           for (std::size_t m = 0; m < members.size(); ++m) {
             if (member_aux[m].empty()) continue;  // already retired
             ++out.sat_calls;
-            const SolveResult rm = timed_solve(member_any[m], small);
+            const SolveResult rm = timed_solve({member_any[m]}, small);
             if (rm == SolveResult::Unsat) {
               retire(m);
             } else if (rm == SolveResult::Sat) {

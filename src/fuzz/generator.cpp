@@ -268,7 +268,6 @@ std::uint32_t Rv32Generator::encode_op(const AbsOp& op, std::uint32_t at,
       f.imm = static_cast<std::int32_t>(rng.range(1, 31)) << 12;
       break;
     case RvFormat::CShamt:
-    case RvFormat::CBShamt:
       f.rd = (n == "c.slli") ? wreg() : w3();
       f.shamt = static_cast<unsigned>(rng.range(1, 31));
       break;
@@ -305,7 +304,7 @@ std::uint32_t Rv32Generator::encode_op(const AbsOp& op, std::uint32_t at,
   if (op.cls == OpClass::RawWrite) f.rd = shared;
   if (op.cls == OpClass::RawRead) {
     if (spec.fmt == RvFormat::CA || spec.fmt == RvFormat::CAnd ||
-        spec.fmt == RvFormat::CShamt || spec.fmt == RvFormat::CBShamt) {
+        spec.fmt == RvFormat::CShamt) {
       f.rd = shared;
     } else {
       f.rs1 = shared;

@@ -334,6 +334,11 @@ void Solver::analyze_final(Lit p) {
   conflict_core_.push_back(p);
   if (decision_level() == 0) return;
   seen_[static_cast<std::size_t>(p.var())] = true;
+  collect_assumptions();
+  seen_[static_cast<std::size_t>(p.var())] = false;
+}
+
+void Solver::collect_assumptions() {
   for (int i = static_cast<int>(trail_.size()) - 1; i >= trail_lim_[0]; --i) {
     const Lit q = trail_[static_cast<std::size_t>(i)];
     const auto v = static_cast<std::size_t>(q.var());
@@ -351,7 +356,18 @@ void Solver::analyze_final(Lit p) {
     }
     seen_[v] = false;
   }
-  seen_[static_cast<std::size_t>(p.var())] = false;
+}
+
+void Solver::analyze_final_clause(ClauseRef confl) {
+  // Every conflicting literal is false on the trail; the seen walk of
+  // analyze_final collects the assumptions behind them.
+  conflict_core_.clear();
+  const Clause& c = clauses_[confl];
+  for (std::uint32_t k = 0; k < c.size; ++k) {
+    const auto v = static_cast<std::size_t>(arena_[c.offset + k].var());
+    if (level_[v] > 0) seen_[v] = true;
+  }
+  collect_assumptions();
 }
 
 void Solver::cancel_until(int lvl) {
@@ -455,6 +471,9 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
   model_.clear();
 
   const std::int64_t conflict_budget = limits.conflict_budget;
+  // One assumption keeps its own decision level, so a single-assumption
+  // search runs exactly as it always has.
+  const bool single_level = assumptions.size() > 1;
   // Fold the per-call wall limit into the deadline check: earliest cutoff wins.
   bool check_clock = has_deadline_;
   auto clock_cutoff = deadline_;
@@ -478,6 +497,13 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
       ++conflicts_;
       if (decision_level() == 0) {
         ok_ = false;
+        return SolveResult::Unsat;
+      }
+      if (single_level && decision_level() == 1) {
+        // Level 1 holds only assumptions and their consequences: the
+        // assumptions are jointly refuted.
+        analyze_final_clause(confl);
+        cancel_until(0);
         return SolveResult::Unsat;
       }
       std::vector<Lit> learnt;
@@ -554,8 +580,31 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
       continue;
     }
 
-    // No conflict: extend assumptions or decide.
-    if (decision_level() < static_cast<int>(assumptions.size())) {
+    // No conflict: extend assumptions or decide. Two or more assumptions
+    // share decision level 1: each is enqueued and propagated in turn, and
+    // any conflict on that level is final (see analyze_final_clause).
+    if (single_level && decision_level() == 0) {
+      trail_lim_.push_back(static_cast<int>(trail_.size()));
+      for (const Lit p : assumptions) {
+        const LBool v = lit_value(p);
+        if (v == LBool::True) continue;
+        if (v == LBool::False) {
+          analyze_final(~p);
+          cancel_until(0);
+          return SolveResult::Unsat;
+        }
+        uncheck_enqueue(p, kNoClause);
+        const ClauseRef c = propagate();
+        if (c != kNoClause) {
+          ++conflicts_;
+          analyze_final_clause(c);
+          cancel_until(0);
+          return SolveResult::Unsat;
+        }
+      }
+      continue;
+    }
+    if (!single_level && decision_level() < static_cast<int>(assumptions.size())) {
       const Lit p = assumptions[static_cast<std::size_t>(decision_level())];
       const LBool v = lit_value(p);
       if (v == LBool::True) {

@@ -5,6 +5,11 @@
 // restarts, LBD-based learned-clause reduction, incremental solving under
 // assumptions, and a per-call conflict budget (the PDAT pipeline treats a
 // budget hit as "inconclusive" and conservatively keeps the gate).
+//
+// A single assumption is placed on its own decision level. Two or more share
+// decision level 1, so a solve under thousands of activation literals costs
+// one level, not one per literal; a conflict on that level ends the call
+// with Unsat and a core of the assumptions behind it.
 #pragma once
 
 #include <atomic>
@@ -211,6 +216,8 @@ class Solver {
   void analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
                std::uint32_t& out_lbd);
   void analyze_final(Lit p);
+  void analyze_final_clause(ClauseRef confl);
+  void collect_assumptions();
   bool lit_redundant(Lit p, std::uint32_t abstract_levels);
   void cancel_until(int lvl);
   Lit pick_branch_lit();

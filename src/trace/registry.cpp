@@ -56,6 +56,8 @@ constexpr MetricDef kCounterDefs[] = {
      "wall-clock time inside cone-localized proof-job solves"},
     {MetricKind::Counter, "induction.partition_micros", "micros", false,
      "wall-clock time the coordinator spends partitioning cones and fingerprinting them"},
+    {MetricKind::Counter, "induction.encode_micros", "micros", false,
+     "wall-clock time building proof-job CNF: unit templates, per-job copies, member literals"},
     {MetricKind::Counter, "induction.replay_micros", "micros", false,
      "wall-clock time inside counterexample replays (summed over proof jobs)"},
     {MetricKind::Counter, "coi.partitions", "1", true,

@@ -76,6 +76,7 @@ enum class Counter : unsigned {
   InductionSolveMicrosGlobal,
   InductionSolveMicrosLocalized,
   InductionPartitionMicros,
+  InductionEncodeMicros,
   InductionReplayMicros,
   // Cone-of-influence localization.
   CoiPartitions,

@@ -624,9 +624,10 @@ TEST(Induction, CountersMatchRecordedValues) {
   k2.k = 2;
   expect_counters(p, k2, {1113, 980, 2, 46, 140, 0, 0, 0}, "global k=2");
 
+  // Each cone runs to closure in round 0 and round 1 confirms it.
   InductionOptions coi;
   coi.coi_localize = true;
-  expect_counters(p, coi, {1120, 976, 3, 126, 144, 0, 0, 0}, "coi k=1");
+  expect_counters(p, coi, {1120, 976, 2, 120, 144, 0, 0, 0}, "coi k=1");
 
   // A budget this tight exhausts aggregate queries: the per-member sweep
   // runs, unresolved members retry with an escalated budget, and what the
@@ -635,6 +636,17 @@ TEST(Induction, CountersMatchRecordedValues) {
   tight.conflict_budget = 16;
   tight.max_job_attempts = 2;
   expect_counters(p, tight, {1120, 965, 3, 3070, 130, 25, 3, 2}, "global, tight budget");
+
+  // The same budget on the closure path: an exhausted aggregate query
+  // leaves every surviving cone member pending, the retry resumes with the
+  // earlier kills' hypotheses retired, and what its last attempt cannot
+  // close is dropped. With a third attempt the cone closes, and the proved
+  // set is the one an ample budget proves.
+  InductionOptions coi_tight = tight;
+  coi_tight.coi_localize = true;
+  expect_counters(p, coi_tight, {1120, 0, 1, 95, 118, 1002, 1, 1}, "coi, tight budget");
+  coi_tight.max_job_attempts = 3;
+  expect_counters(p, coi_tight, {1120, 976, 2, 125, 144, 0, 4, 0}, "coi, tight budget, 3 attempts");
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "sat/dratcheck.h"
 #include "sat/solver.h"
 
 namespace pdat::sat {
@@ -197,6 +202,101 @@ TEST(Sat, ManyRandom3SatSmallInstancesAgreeWithBruteForce) {
       }
     }
   }
+}
+
+// Random 3-SAT instance over `nv` variables (LCG-driven, reproducible).
+std::vector<std::vector<Lit>> random_3sat(std::uint64_t& state, int nv, int nc) {
+  auto rnd = [&]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<std::vector<Lit>> clauses;
+  for (int c = 0; c < nc; ++c) {
+    std::vector<Lit> cl;
+    for (int k = 0; k < 3; ++k) {
+      cl.push_back(mk_lit(static_cast<Var>(rnd() % static_cast<std::uint64_t>(nv)),
+                          (rnd() & 1) != 0));
+    }
+    clauses.push_back(cl);
+  }
+  return clauses;
+}
+
+Solver solver_for(const std::vector<std::vector<Lit>>& clauses, int nv) {
+  Solver s;
+  for (int v = 0; v < nv; ++v) s.new_var();
+  for (const auto& cl : clauses) s.add_clause(cl);
+  return s;
+}
+
+TEST(Sat, ManyAssumptionsAgreeWithUnitClauses) {
+  // Two or more assumptions share one decision level. Each verdict must
+  // match the same CNF with the assumptions added as unit clauses, every
+  // verdict must certify (UNSAT cores are RUP-checked by CertifySession),
+  // and one solver must stay correct across a sequence of such calls with
+  // clauses added in between, the way a closure proof job uses it.
+  std::uint64_t state = 0x5eed;
+  auto rnd = [&]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  int sat = 0, unsat = 0;
+  for (int inst = 0; inst < 40; ++inst) {
+    const int nv = 70;
+    const auto clauses = random_3sat(state, nv, 250);
+    Solver s = solver_for(clauses, nv);
+    CertifySession cert(s);
+    std::vector<std::vector<Lit>> added;  // clauses added between calls
+    for (int call = 0; call < 4; ++call) {
+      const int na = 2 + static_cast<int>(rnd() % 63);  // 2..64
+      std::vector<Lit> assumptions;
+      for (int a = 0; a < na; ++a) {
+        assumptions.push_back(
+            mk_lit(static_cast<Var>(rnd() % static_cast<std::uint64_t>(nv)), (rnd() & 1) != 0));
+      }
+      const SolveResult r = s.solve(assumptions);
+      ASSERT_NO_THROW(cert.check(r, assumptions, "many-assumptions test"))
+          << "instance " << inst << " call " << call;
+
+      Solver units = solver_for(clauses, nv);
+      for (const auto& cl : added) units.add_clause(cl);
+      for (const Lit p : assumptions) units.add_clause(p);
+      ASSERT_EQ(r, units.solve()) << "instance " << inst << " call " << call;
+      if (r == SolveResult::Sat) {
+        ++sat;
+        for (const Lit p : assumptions) EXPECT_EQ(s.model_value(p.var()), !p.sign());
+      } else {
+        ++unsat;
+        // The core is a clause of negated assumptions.
+        for (const Lit c : s.conflict_core()) {
+          EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), ~c), assumptions.end());
+        }
+      }
+      // Retire one variable the next call may assume, as a closure job does.
+      const std::vector<Lit> unit{mk_lit(static_cast<Var>(rnd() % static_cast<std::uint64_t>(nv)),
+                                         (rnd() & 1) != 0)};
+      added.push_back(unit);
+      s.add_clause(unit);
+      if (!s.okay()) break;
+    }
+  }
+  // The instance mix must exercise both verdicts.
+  EXPECT_GT(sat, 10);
+  EXPECT_GT(unsat, 10);
+}
+
+TEST(Sat, OneAssumptionSearchMatchesRecordedCounters) {
+  // A single assumption keeps its own decision level, so its search is
+  // step for step what it was before multi-assumption solves shared one
+  // level. The counters below were recorded on that earlier solver.
+  std::uint64_t state = 0xc0ffee;
+  const int nv = 120;
+  const auto clauses = random_3sat(state, nv, 500);
+  Solver s = solver_for(clauses, nv);
+  const SolveResult r = s.solve({mk_lit(7)});
+  EXPECT_EQ(r, SolveResult::Unsat);
+  EXPECT_EQ(s.num_conflicts(), 651u);
+  EXPECT_EQ(s.num_propagations(), 100018u);
 }
 
 }  // namespace
