@@ -30,8 +30,9 @@
 //                   cache on, off, cold, or warm
 //   --no-coi        solve whole-netlist proof obligations instead of
 //                   cone-of-influence localized ones (localization is on by
-//                   default and kill-for-kill identical; this flag exists
-//                   for differential debugging and timing comparisons)
+//                   default and proves the same set in fewer SAT calls;
+//                   this flag exists for differential debugging and timing
+//                   comparisons)
 //   --certify       paranoid mode (DESIGN.md §5.10): DRAT-check every SAT
 //                   verdict that can remove a gate with the independent
 //                   in-tree checker; a failed certificate aborts the run.

@@ -27,7 +27,7 @@ SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
     for (int cyc = 0; cyc < opt.cycles; ++cyc) {
       drive_inputs(env, sim, rng, free);
       sim.eval();
-      if (!assumes_hold(env, sim)) {
+      if (!assumes_hold(env.assumes, sim)) {
         ++res.assume_violation_cycles;
       } else {
         drop_violated(candidates, sim, live, [&](std::uint32_t i) { alive[i] = false; });
@@ -77,7 +77,7 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
     for (int cyc = 0; cyc < opt.sim.cycles; ++cyc) {
       drive_inputs(env, sim, rng, free);
       sim.eval();
-      if (assumes_hold(env, sim)) {
+      if (assumes_hold(env.assumes, sim)) {
         for (NetId n : nets) {
           sig[n] = (sig[n] ^ sim.value(n)) * 0x100000001b3ULL;
         }

@@ -1,4 +1,4 @@
-// Cone-of-influence proof localization (ISSUE 4, DESIGN.md §5.9).
+// Cone-of-influence proof localization (DESIGN.md §5.9).
 //
 // Partitions the alive candidate invariants into *cones*: fan-in-closed
 // net/cell regions such that every candidate's verdict in a localized
@@ -19,18 +19,26 @@
 //      fully disjoint support, so their induction-hypothesis clauses factor
 //      out of the global query.
 //
-// With those closures, at k = 1 and without counterexample replay, a
-// localized step query is equisatisfiable with the global one: UNSAT
-// locally implies UNSAT globally because the local clauses are a subset;
-// SAT locally extends to a global model by choosing out-of-cone frame-0
-// state freely from any allowed execution (which exists whenever the base
-// case passed and the environment is non-vacuous) and evaluating the rest
-// forward. A candidate is killed only by a model in which every live
-// hypothesis holds at frame 0, so no member of the greatest inductive subset
-// is ever killed: however the kills are scheduled (Jacobi rounds globally, a
-// cone run to closure locally), the proved set is that unique greatest
-// inductive subset. tests/test_coi_fuzz.cpp enforces this differentially
-// against the global engine.
+// With those closures, at k = 1, a localized step query is
+// equisatisfiable with the global one: UNSAT locally implies UNSAT globally
+// because the local clauses are a subset; SAT locally extends to a global
+// model by choosing out-of-cone frame-0 state freely from any allowed
+// execution (which exists whenever the base case passed and the
+// environment is non-vacuous) and evaluating the rest forward. A candidate
+// is killed only by a model in which every live hypothesis holds at frame
+// 0, so no member of the greatest inductive subset is ever killed: however
+// the kills are scheduled (Jacobi rounds globally, a cone run to closure
+// locally), the proved set is that unique greatest inductive subset.
+//
+// Counterexample replay keeps this. A cone-local model has no values
+// outside the cone, and replay needs none: the cone is fan-in closed, so
+// its flops at frame k fix every cone net on every later cycle, whatever
+// the out-of-cone flops hold. The model's frame-0 state satisfies every
+// live cone hypothesis, so the greatest inductive subset restricted to the
+// cone holds on every cycle replayed from frame k under allowed stimulus,
+// and a replay kill never removes a member of it. tests/test_coi_fuzz.cpp
+// enforces all of this differentially against the global engine, with
+// replay on and off.
 //
 // Each cone also has a canonical content fingerprint (nets renumbered by
 // deterministic BFS from the candidate seeds) used by the proof cache to

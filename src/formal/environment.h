@@ -117,9 +117,9 @@ std::vector<NetId> free_input_nets(const Netlist& nl, const Environment& env,
 /// with uniform random bits, then runs the environment drivers.
 void drive_inputs(const Environment& env, BitSim& sim, Rng& rng, const std::vector<NetId>& free);
 
-/// True when every environment assume-net is 1 in all 64 slots.
-inline bool assumes_hold(const Environment& env, const BitSim& sim) {
-  for (NetId a : env.assumes) {
+/// True when every assume-net is 1 in all 64 slots.
+inline bool assumes_hold(const std::vector<NetId>& assumes, const BitSim& sim) {
+  for (NetId a : assumes) {
     if (sim.value(a) != ~0ULL) return false;
   }
   return true;

@@ -156,10 +156,11 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Names the cone-local step job, which runs its cone to closure. It keys
-/// those jobs' cache records and binds COI journals, so neither is ever read
-/// by (or as) the one-round-per-job engine that came before it.
-constexpr const char* kCoiClosureTag = "pdat-coi-closure-v1";
+/// Names the cone-local step job, which runs its cone to closure and
+/// replays its models. It keys those jobs' cache records and binds COI
+/// journals, so neither is ever read by (or as) an earlier form of the job.
+/// v2: counterexample replay, and payloads count replays.
+constexpr const char* kCoiClosureTag = "pdat-coi-closure-v2";
 
 /// Fingerprint binding a journal to a proof problem: the candidate list plus
 /// every option that can change verdicts (worker count deliberately
@@ -203,13 +204,15 @@ std::uint64_t proof_fingerprint(const Netlist& nl, const std::vector<GatePropert
 // --- cached job-outcome codec ------------------------------------------------
 //
 // A cache payload is one job attempt's *delta*: its final status, the SAT
-// calls it made, the kills it appended, and the member list it left pending.
+// calls and counterexample replays it made, the kills it appended, and the
+// member list it left pending.
 // Injecting a payload is byte-equivalent to re-running the attempt because
 // attempts are pure functions of everything folded into the key.
 
 struct CachedOutcome {
   bool done = false;
   std::uint64_t sat_calls = 0;
+  std::uint64_t replays = 0;
   std::vector<std::uint32_t> kills;
   std::vector<std::uint32_t> pending;
   /// Every SAT verdict behind this outcome was certificate-checked when it
@@ -220,12 +223,13 @@ struct CachedOutcome {
 };
 
 std::string encode_outcome(runtime::JobStatus status, std::uint64_t sat_calls,
-                           const std::vector<std::uint32_t>& kills,
+                           std::uint64_t replays, const std::vector<std::uint32_t>& kills,
                            const std::vector<std::uint32_t>& pending, bool certified,
                            std::uint64_t cert_hash) {
   std::string p;
   runtime::put_u32(p, status == runtime::JobStatus::Done ? 0 : 1);
   runtime::put_u64(p, sat_calls);
+  runtime::put_u64(p, replays);
   runtime::put_u32(p, static_cast<std::uint32_t>(kills.size()));
   for (const std::uint32_t k : kills) runtime::put_u32(p, k);
   runtime::put_u32(p, static_cast<std::uint32_t>(pending.size()));
@@ -241,6 +245,7 @@ std::optional<CachedOutcome> decode_outcome(const std::string& payload) {
     std::size_t pos = 0;
     o.done = runtime::get_u32(payload, pos) == 0;
     o.sat_calls = runtime::get_u64(payload, pos);
+    o.replays = runtime::get_u64(payload, pos);
     const std::uint32_t nk = runtime::get_u32(payload, pos);
     o.kills.reserve(nk);
     for (std::uint32_t i = 0; i < nk; ++i) o.kills.push_back(runtime::get_u32(payload, pos));
@@ -278,6 +283,7 @@ struct CertExport {
 struct JobOutcome {
   std::vector<std::uint32_t> kills;  // indices falsified by models / replay
   std::uint64_t sat_calls = 0;
+  std::uint64_t replays = 0;  // counterexample replays, run or read from the cache
 };
 
 /// A proof job's CNF template over either frame encoder (FrameEncoder for
@@ -402,8 +408,8 @@ struct Engine {
   /// on it — and so is the cache path itself.
   void init_problem_hash() {
     Fnv128 h;
-    // v2: payloads carry a certification flag + certificate digest.
-    h.str("pdat-proof-global-v2");
+    // v3: payloads count replays (v2: a certification flag + digest).
+    h.str("pdat-proof-global-v3");
     hash_netlist(h, nl);
     h.u64(env.assumes.size());
     for (const NetId a : env.assumes) h.u32(a);
@@ -486,6 +492,7 @@ struct Engine {
     runtime::put_u32(p, static_cast<std::uint32_t>(pending[j].size()));
     for (const std::uint32_t m : pending[j]) runtime::put_u32(p, m);
     runtime::put_u64(p, outcomes[j].sat_calls);
+    runtime::put_u64(p, outcomes[j].replays);
     runtime::put_u32(p, static_cast<std::uint32_t>(outcomes[j].kills.size()));
     for (const std::uint32_t k : outcomes[j].kills) runtime::put_u32(p, k);
     runtime::put_u64(p, f.hits);
@@ -532,6 +539,7 @@ struct Engine {
     for (std::uint32_t& m : pend) m = runtime::get_u32(payload, pos);
     JobOutcome out;
     out.sat_calls = runtime::get_u64(payload, pos);
+    out.replays = runtime::get_u64(payload, pos);
     out.kills.resize(runtime::get_u32(payload, pos));
     for (std::uint32_t& k : out.kills) k = runtime::get_u32(payload, pos);
     const std::uint64_t hits = runtime::get_u64(payload, pos);
@@ -606,28 +614,39 @@ struct Engine {
   /// the unit's space. Whole-netlist jobs extend the global problem prefix
   /// with the alive set; cone jobs hash the cone's content fingerprint
   /// instead, so an isomorphic cone of a later round or run reuses the entry.
+  ///
+  /// A step job that replays its models reads more than its unit: replay
+  /// simulates the whole netlist under the whole environment's stimulus,
+  /// drawn from an RNG stream seeded by (round, jid). Its key also folds
+  /// the global prefix (netlist, assumes, env_fingerprint, candidates,
+  /// replay cycles, seed, free nets) and that stream. Replay-free keys leave
+  /// them out, so those outcomes stay reusable wherever the rest matches.
   CacheKey job_key(const ProofUnit& u, bool base, int k, int round, std::size_t jid,
                    const std::vector<std::uint32_t>& members,
                    const runtime::JobBudget& budget) const {
+    const bool replay = !base && opt.cex_sim_cycles > 0;
     Fnv128 h;
     if (u.cone == nullptr) {
       h = problem_hash;
       h.u32(base ? 0u : 1u);
       h.u64(alive_hash);
-      // Replay kills depend on the job's RNG stream, seeded by (round, jid);
-      // fold them only when replay is active so replay-free outcomes are
-      // reusable wherever the rest of the key matches.
-      if (opt.cex_sim_cycles > 0 && !base) {
-        h.u32(static_cast<std::uint32_t>(round + 2));
-        h.u64(jid);
-      }
     } else {
-      // v2: certified payloads, see CachedOutcome. Step jobs run to closure.
-      h.str(base ? "pdat-coi-job-v2" : kCoiClosureTag);
+      // v3: payloads count replays (v2: certified payloads, see
+      // CachedOutcome). Step jobs run to closure.
+      h.str(base ? "pdat-coi-job-v3" : kCoiClosureTag);
       h.u64(u.fingerprint.lo);
       h.u64(u.fingerprint.hi);
       h.u32(base ? 0u : 1u);
       h.u32(static_cast<std::uint32_t>(k));
+      if (replay) {
+        const CacheKey problem = problem_hash.digest();
+        h.u64(problem.lo);
+        h.u64(problem.hi);
+      }
+    }
+    if (replay) {
+      h.u32(static_cast<std::uint32_t>(round + 2));
+      h.u64(jid);
     }
     h.u64(members.size());
     for (const std::uint32_t m : members) h.u32(u.position(m));
@@ -666,11 +685,13 @@ struct Engine {
   }
 
   void cache_store(std::size_t jid, const CacheKey& key, runtime::JobStatus status,
-                   std::uint64_t sat_calls, const std::vector<std::uint32_t>& kills,
+                   std::uint64_t sat_calls, std::uint64_t replays,
+                   const std::vector<std::uint32_t>& kills,
                    const std::vector<std::uint32_t>& pending, bool certified,
                    std::uint64_t cert_hash) const {
     if (cache == nullptr || !cache_store_ok) return;
-    std::string payload = encode_outcome(status, sat_calls, kills, pending, certified, cert_hash);
+    std::string payload =
+        encode_outcome(status, sat_calls, replays, kills, pending, certified, cert_hash);
     if (proc) {
       // A child cannot mutate the parent's cache; defer the store to
       // proc_apply, which also settles the insert-vs-update race under the
@@ -720,29 +741,34 @@ struct Engine {
 
   /// Replays a SAT model's frame-`fk` state through the bit-parallel
   /// simulator under cloned (job-private) environment drivers, appending
-  /// every falsified candidate. Deterministic: the RNG seed depends only on
-  /// the round and job index, and driver clones always start from the same
-  /// (post-sim-filter) state.
-  void cex_replay(const sat::Solver& s, const Frame& fk, BitSim& sim, Environment& local_env,
-                  Rng& rng, std::vector<char>& job_killed, JobOutcome& out) const {
-    if (opt.cex_sim_cycles <= 0) return;
+  /// every falsified candidate of `u`. Deterministic: the RNG seed depends
+  /// only on the round and job index, and driver clones always start from
+  /// the same (post-sim-filter) state.
+  ///
+  /// A cone unit's model holds values for cone nets only: every other net's
+  /// variable is -1, and its flops load as 0. The cone is fan-in closed, so
+  /// its flops at frame k fix every cone net on every later cycle of legal
+  /// stimulus, and the replay checks the cone's candidates under the cone's
+  /// assumes alone.
+  void cex_replay(const sat::Solver& s, const Frame& fk, const ProofUnit& u, BitSim& sim,
+                  Environment& local_env, Rng& rng, std::vector<char>& job_killed,
+                  JobOutcome& out) const {
     const bool timed = trace::collecting();
     const auto t0 = timed ? Clock::now() : Clock::time_point{};
-    trace::add(trace::Counter::InductionCexReplays, 1);
-    trace::add(trace::Counter::InductionCexReplayCycles,
-               static_cast<std::uint64_t>(opt.cex_sim_cycles));
-    for (CellId flop : sim.levels().flops) {
-      const NetId q = nl.cell(flop).out;
-      sim.set_flop_state(flop, s.model_value(fk.net_var[q]) ? ~0ULL : 0);
+    ++out.replays;
+    for (const CellId flop : sim.levels().flops) {
+      const sat::Var v = fk.net_var[nl.cell(flop).out];
+      sim.set_flop_state(flop, v >= 0 && s.model_value(v) ? ~0ULL : 0);
     }
+    const std::vector<NetId>& assumes = u.cone == nullptr ? env.assumes : u.cone->assumes;
     std::vector<std::uint32_t> live;
-    for (std::uint32_t i = 0; i < cands.size(); ++i) {
+    for (const std::uint32_t i : u.space) {
       if (alive[i] && !job_killed[i]) live.push_back(i);
     }
     for (int cyc = 0; cyc < opt.cex_sim_cycles; ++cyc) {
       drive_inputs(local_env, sim, rng, replay_free);
       sim.eval();
-      if (assumes_hold(local_env, sim)) {
+      if (assumes_hold(assumes, sim)) {
         drop_violated(cands, sim, live, [&](std::uint32_t i) {
           job_killed[i] = 1;
           out.kills.push_back(i);
@@ -801,9 +827,11 @@ struct Engine {
 
   /// Records one round's telemetry at the barrier (main thread, round order):
   /// the RoundRecord for metrics.json plus the delta counters. `round` is -1
-  /// for the base case, matching runtime::kBaseRound.
-  void round_telemetry(int round, std::size_t alive_before, std::size_t sc0, std::size_t ck0,
-                       std::size_t bk0, std::size_t removed) const {
+  /// for the base case, matching runtime::kBaseRound. Replays are counted
+  /// from the outcomes, so replays a cache hit stands in for count too.
+  void round_telemetry(int round, Clock::time_point t0, std::size_t alive_before,
+                       std::size_t sc0, std::size_t ck0, std::size_t bk0, std::size_t removed,
+                       const std::vector<JobOutcome>& outcomes) const {
     if (!trace::collecting()) return;
     trace::RoundRecord rec;
     rec.round = round;
@@ -811,8 +839,14 @@ struct Engine {
     rec.cex_kills = st.cex_kills - ck0;
     rec.budget_kills = st.budget_kills - bk0;
     rec.sat_calls = st.sat_calls - sc0;
+    rec.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     trace::record_round(rec);
+    std::uint64_t replays = 0;
+    for (const JobOutcome& out : outcomes) replays += out.replays;
     trace::add(trace::Counter::InductionSatCalls, rec.sat_calls);
+    trace::add(trace::Counter::InductionCexReplays, replays);
+    trace::add(trace::Counter::InductionCexReplayCycles,
+               replays * static_cast<std::uint64_t>(opt.cex_sim_cycles));
     trace::add(trace::Counter::InductionCexKills, rec.cex_kills);
     trace::add(trace::Counter::InductionBudgetKills, rec.budget_kills);
     if (round >= 0) trace::add(trace::Counter::InductionRounds, 1);
@@ -829,8 +863,11 @@ struct Engine {
   /// A cone's step unit is one *closure* job over all its members: it runs
   /// the cone's fixpoint to its end on one incremental solver, retiring each
   /// killed candidate's hypothesis at once, so the next round only confirms
-  /// it with one UNSAT call per cone.
+  /// it with one UNSAT call per cone. Step jobs of either kind replay each
+  /// model (cex_replay), and a closure job retires every member a replay
+  /// kills as it would a model kill.
   std::size_t run_round(int round) {
+    const auto t_round = Clock::now();
     const bool base = round == runtime::kBaseRound;
     trace::Span span(base ? "induction.base" : "induction.round");
     if (!base) span.arg("round", round);
@@ -930,6 +967,7 @@ struct Engine {
           for (const std::uint32_t p : hit->pending) in_range = in_range && p < unit.space.size();
           if (in_range) {
             out.sat_calls += hit->sat_calls;
+            out.replays += hit->replays;
             for (const std::uint32_t p : hit->kills) out.kills.push_back(unit.space[p]);
             members.clear();
             for (const std::uint32_t p : hit->pending) members.push_back(unit.space[p]);
@@ -939,6 +977,7 @@ struct Engine {
       }
       const std::size_t nk0 = out.kills.size();
       const std::uint64_t sc0j = out.sat_calls;
+      const std::uint64_t rp0j = out.replays;
       std::uint64_t solve_us = 0;
       bool att_certified = false;
       std::uint64_t att_cert_hash = 0;
@@ -1038,10 +1077,9 @@ struct Engine {
           }
           return a;
         };
-        // Job-private replay state, constructed on the first model. Only
-        // global step jobs replay: a cone-local model has no whole-netlist
-        // frame-k state to load, and the base case starts from reset.
-        const bool replay = global && !base && opt.cex_sim_cycles > 0;
+        // Job-private replay state, constructed on the first model. Step
+        // jobs replay; the base case starts from reset.
+        const bool replay = !base && opt.cex_sim_cycles > 0;
         std::unique_ptr<BitSim> sim;
         std::unique_ptr<Environment> local_env;
         std::optional<Rng> rng;
@@ -1066,7 +1104,7 @@ struct Engine {
                                              (static_cast<std::uint64_t>(round + 2) << 20) +
                                                  static_cast<std::uint64_t>(jid)));
             }
-            cex_replay(s, *check.back(), *sim, *local_env, *rng, job_killed, out);
+            cex_replay(s, *check.back(), unit, *sim, *local_env, *rng, job_killed, out);
           }
           bool any_member = false;
           for (std::size_t m = 0; m < members.size(); ++m) {
@@ -1144,7 +1182,7 @@ struct Engine {
           for (; first != last; ++first) p.push_back(unit.position(*first));
           return p;
         };
-        cache_store(jid, key, status, out.sat_calls - sc0j,
+        cache_store(jid, key, status, out.sat_calls - sc0j, out.replays - rp0j,
                     positions(out.kills.begin() + static_cast<std::ptrdiff_t>(nk0),
                               out.kills.end()),
                     positions(members.begin(), members.end()), att_certified, att_cert_hash);
@@ -1157,7 +1195,7 @@ struct Engine {
     // the ones never falsified; the kills recorded in the outcomes remove
     // the rest.
     const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
-    round_telemetry(round, alive_before, sc0, ck0, bk0, removed);
+    round_telemetry(round, t_round, alive_before, sc0, ck0, bk0, removed, outcomes);
     span.arg("killed", static_cast<std::int64_t>(removed));
     return removed;
   }

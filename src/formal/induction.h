@@ -10,20 +10,36 @@
 //   step : assuming all surviving candidates and the environment at frame t,
 //          no surviving candidate can be violated at frame t+1.
 //
-// The fixpoint runs round-synchronously (Jacobi-style van Eijk): each round
-// asserts the current alive set at frames 0..k-1 in a shared CNF template,
-// shards the alive candidates into fixed-size batches, and dispatches one
-// supervised proof job per batch. A job copies the template into a private
-// solver, runs an aggregated "some batch member violated at frame k" loop,
-// and reports which candidates its counterexample models (and their
-// simulation replays) falsified. Verdicts are merged by candidate index —
-// a union, so the result is independent of worker count and scheduling.
-// Jobs that blow their conflict/wall/memory budget or throw are retried by
-// the supervisor with exponentially escalated budgets; after bounded
-// attempts their remaining candidates are dropped (conservative: a dropped
-// candidate is never kept, matching the paper's §VII-C observation that
-// inconclusive analyses merely reduce optimization quality). A round with
-// no kills and no drops certifies the surviving set mutually k-inductive.
+// The fixpoint runs in rounds on one round driver. Each round splits the
+// alive set into proof units and dispatches supervised proof jobs over
+// them; one barrier merges the jobs' kills by candidate index (a union, so
+// the result is independent of worker count and scheduling). A job copies
+// its unit's CNF template into a private solver, loops on an aggregate
+// "some member violated" query, and kills every candidate its models
+// falsify. In a step job each model is also replayed: its frame-k state
+// runs through the bit-parallel simulator under the environment stimulus
+// for cex_sim_cycles cycles, killing every candidate that fails on the way
+// without further SAT calls.
+//
+//   global engine  : one unit, the whole netlist. Step rounds are Jacobi
+//                    (van Eijk): the round hypothesis is the alive set at
+//                    round start, the members are sharded into batch_size
+//                    jobs, and kills take effect at the barrier.
+//   COI engine     : one unit per support-closed cone (coi.h), coi_localize.
+//                    A cone's step job runs the cone to closure on one
+//                    incremental solver, retiring the hypothesis of each
+//                    candidate a model or replay kills at once; round 0
+//                    closes every cone and round 1 confirms each with one
+//                    UNSAT call. Replay loads the cone's flops only.
+//
+// Both engines prove the same greatest inductive subset; they differ in
+// rounds and SAT calls. Jobs that blow their conflict/wall/memory budget or
+// throw are retried by the supervisor with exponentially escalated
+// budgets; after bounded attempts their unresolved candidates are dropped
+// (conservative: a dropped candidate is never kept, matching the paper's
+// §VII-C observation that inconclusive analyses merely reduce optimization
+// quality). A round with no kills and no drops certifies the surviving set
+// mutually k-inductive.
 //
 // Checkpoint/resume: with `journal_path` set, the engine appends a
 // checksummed record after the base case and after every completed round;
@@ -52,10 +68,11 @@ struct InductionOptions {
   /// is the classic van Eijk fixpoint; higher k proves invariants whose
   /// support spans multiple cycles at the cost of a deeper unrolling.
   int k = 1;
-  /// Counterexample replay: after each SAT model, the frame-k state is
-  /// loaded into the bit-parallel simulator and run for this many cycles
-  /// under the environment stimulus; every candidate falsified on the way
-  /// is killed without further SAT calls. 0 disables the accelerator.
+  /// Counterexample replay: after each step-job SAT model, the frame-k
+  /// state is loaded into the bit-parallel simulator and run for this many
+  /// cycles under the environment stimulus; every candidate of the job's
+  /// unit falsified on the way is killed without further SAT calls. 0
+  /// disables the accelerator.
   int cex_sim_cycles = 48;
   /// Cutpoint nets (no driver, not primary inputs) that the replay must
   /// drive randomly when no environment driver owns them.
@@ -140,11 +157,12 @@ struct InductionOptions {
 
   // --- localization / proof cache -------------------------------------------
   /// Cone-of-influence localization: partition each round's alive set into
-  /// support-closed cones (src/formal/coi.h) and solve cone-local CNF
-  /// templates instead of whole-netlist ones. Sound and kill-for-kill
-  /// identical to the global engine at k == 1 (falls back to global with a
-  /// warning for k > 1); counterexample replay is disabled inside localized
-  /// jobs because a cone-local model has no whole-netlist frame-k state.
+  /// support-closed cones (src/formal/coi.h), solve cone-local CNF
+  /// templates instead of whole-netlist ones, and run each cone's step job
+  /// to closure. Proves the same set as the global engine at k == 1 (falls
+  /// back to global with a warning for k > 1), in other rounds and SAT
+  /// calls. Counterexample replay loads the cone's flops from the model
+  /// and checks the cone's candidates and assumes only.
   bool coi_localize = false;
   /// When non-empty, persist proof-job outcomes in a content-addressed
   /// cache at this path (src/formal/proofcache.h). A warm rerun of the

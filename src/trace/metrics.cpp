@@ -117,9 +117,10 @@ void write_metrics_json(std::ostream& os, const MetricsInfo& info) {
     write_histogram(os, "      ", histogram_snapshot(h));
   }
   os << "\n    },\n";
+  const std::vector<RoundRecord> rounds = round_records();
   os << "    \"induction_rounds\": [";
   first = true;
-  for (const RoundRecord& r : round_records()) {
+  for (const RoundRecord& r : rounds) {
     if (!first) os << ",";
     first = false;
     os << "\n      {\"round\":" << r.round << ",\"alive_before\":" << r.alive_before
@@ -141,6 +142,14 @@ void write_metrics_json(std::ostream& os, const MetricsInfo& info) {
     first = false;
     os << "\n      {\"name\":" << quoted(st.name) << ",\"wall_seconds\":" << fmt(st.wall_seconds)
        << "}";
+  }
+  os << "\n    ],\n";
+  os << "    \"induction_rounds\": [";
+  first = true;
+  for (const RoundRecord& r : rounds) {
+    if (!first) os << ",";
+    first = false;
+    os << "\n      {\"round\":" << r.round << ",\"wall_seconds\":" << fmt(r.wall_seconds) << "}";
   }
   os << "\n    ],\n";
   os << "    \"counters\": {\n";

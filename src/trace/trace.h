@@ -183,8 +183,8 @@ std::size_t histogram_bucket(std::uint64_t value);
 
 // --- per-round proof records -------------------------------------------------
 // Appended by the induction engine at each round barrier (main thread, in
-// round order), so metrics.json can show where candidates died without
-// parsing the trace.
+// round order), so metrics.json can show where candidates died and where
+// the induction stage's time went without parsing the trace.
 
 struct RoundRecord {
   int round = 0;  // -1 = base case
@@ -192,6 +192,7 @@ struct RoundRecord {
   std::uint64_t cex_kills = 0;
   std::uint64_t budget_kills = 0;
   std::uint64_t sat_calls = 0;
+  double wall_seconds = 0;  // round start to barrier; timing subtree only
 };
 
 void record_round(const RoundRecord& r);

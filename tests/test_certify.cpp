@@ -103,8 +103,8 @@ TEST(CertifyInduction, ResultsIdenticalWithAndWithoutCertification) {
   ASSERT_FALSE(cands.empty());
 
   // Certification is compared within each localization arm: localized runs
-  // legitimately take different round counts (replay is disabled inside
-  // cone-local jobs), but certify on vs off must be indistinguishable.
+  // legitimately take different round counts (a cone's step job runs to
+  // closure), but certify on vs off must be indistinguishable.
   for (const bool coi : {false, true}) {
     InductionOptions plain;
     plain.coi_localize = coi;

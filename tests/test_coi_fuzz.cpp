@@ -1,5 +1,5 @@
 // Differential fuzz harness for cone-of-influence proof localization and
-// the content-addressed proof cache (ISSUE 4).
+// the content-addressed proof cache.
 //
 // For every seed, the same proof problem runs through four arms:
 //
@@ -10,15 +10,19 @@
 //                worker-thread count for good measure
 //
 // All four must prove the *identical* candidate list (order included) and
-// produce bit-identical rewired netlists. Counterexample replay is off in
-// every arm (localized jobs disable it structurally; the global arm must
-// match configuration, not emulate it). A third of the seeds also pin a
-// random net as an environment assume — exercised only when the assume is
-// satisfiable, since a vacuous environment is rejected by the pipeline
-// before any engine runs.
+// produce bit-identical rewired netlists. Every seed runs the four arms
+// twice: with counterexample replay off, and with 48-cycle replay, where
+// global jobs replay whole-netlist models and closure jobs replay cone
+// models (cone flops loaded, cone candidates and assumes checked). Replay
+// kills only what some legal execution falsifies, so it may change how
+// many SAT calls a proof takes but never the proved set. A third of the
+// seeds also pin a random net as an environment assume — exercised only
+// when the assume is satisfiable, since a vacuous environment is rejected
+// by the pipeline before any engine runs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,8 @@
 #include "pdat/property_library.h"
 #include "pdat/rewire.h"
 #include "test_util.h"
+#include "trace/registry.h"
+#include "trace/trace.h"
 #include "util/rng.h"
 
 namespace pdat {
@@ -47,9 +53,9 @@ struct ArmResult {
 
 ArmResult run_arm(const Netlist& nl, const Environment& env,
                   const std::vector<GateProperty>& cands, bool coi, const std::string& cache,
-                  int threads) {
+                  int threads, int cex_sim_cycles) {
   InductionOptions opt;
-  opt.cex_sim_cycles = 0;
+  opt.cex_sim_cycles = cex_sim_cycles;
   opt.threads = threads;
   opt.coi_localize = coi;
   opt.proof_cache_path = cache;
@@ -91,31 +97,47 @@ TEST_P(CoiFuzz, LocalizedAndCachedArmsMatchGlobalBitForBit) {
   const std::vector<GateProperty> cands = annotate_netlist(nl);
   ASSERT_FALSE(cands.empty());
 
-  const std::string cache = cache_path(seed);
-  std::filesystem::remove(cache);
+  std::vector<std::string> replay_off_proven;
+  for (const int cycles : {0, 48}) {
+    SCOPED_TRACE("cex_sim_cycles=" + std::to_string(cycles));
+    const std::string cache = cache_path(seed);
+    std::filesystem::remove(cache);
 
-  const ArmResult global = run_arm(nl, env, cands, /*coi=*/false, "", 1);
-  const ArmResult local = run_arm(nl, env, cands, /*coi=*/true, "", 1);
-  const ArmResult cold = run_arm(nl, env, cands, /*coi=*/true, cache, 1);
-  const ArmResult warm = run_arm(nl, env, cands, /*coi=*/true, cache, 3);
-  std::filesystem::remove(cache);
+    const ArmResult global = run_arm(nl, env, cands, /*coi=*/false, "", 1, cycles);
+    const ArmResult local = run_arm(nl, env, cands, /*coi=*/true, "", 1, cycles);
+    const ArmResult cold = run_arm(nl, env, cands, /*coi=*/true, cache, 1, cycles);
+    const ArmResult warm = run_arm(nl, env, cands, /*coi=*/true, cache, 3, cycles);
+    std::filesystem::remove(cache);
 
-  EXPECT_FALSE(global.st.coi_localized);
-  EXPECT_TRUE(local.st.coi_localized);
+    EXPECT_FALSE(global.st.coi_localized);
+    EXPECT_TRUE(local.st.coi_localized);
 
-  EXPECT_EQ(global.proven, local.proven);
-  EXPECT_EQ(global.proven, cold.proven);
-  EXPECT_EQ(global.proven, warm.proven);
+    EXPECT_EQ(global.proven, local.proven);
+    EXPECT_EQ(global.proven, cold.proven);
+    EXPECT_EQ(global.proven, warm.proven);
 
-  EXPECT_EQ(global.rewired, local.rewired);
-  EXPECT_EQ(global.rewired, cold.rewired);
-  EXPECT_EQ(global.rewired, warm.rewired);
+    EXPECT_EQ(global.rewired, local.rewired);
+    EXPECT_EQ(global.rewired, cold.rewired);
+    EXPECT_EQ(global.rewired, warm.rewired);
 
-  // The cold arm populates the cache; the warm arm must replay everything
-  // (COI job keys are independent of round number, run, and thread count).
-  EXPECT_GT(cold.st.cache_stores, 0u);
-  EXPECT_GT(warm.st.cache_hits, 0u);
-  EXPECT_EQ(warm.st.cache_misses, 0u);
+    // The cache changes no counter of the localized engine.
+    EXPECT_EQ(local.st.sat_calls, cold.st.sat_calls);
+    EXPECT_EQ(local.st.sat_calls, warm.st.sat_calls);
+    EXPECT_EQ(local.st.cex_kills, warm.st.cex_kills);
+    EXPECT_EQ(local.st.rounds, warm.st.rounds);
+
+    // The cold arm populates the cache; the warm arm must replay everything
+    // (COI job keys are independent of run and thread count).
+    EXPECT_GT(cold.st.cache_stores, 0u);
+    EXPECT_GT(warm.st.cache_hits, 0u);
+    EXPECT_EQ(warm.st.cache_misses, 0u);
+
+    if (cycles == 0) {
+      replay_off_proven = global.proven;
+    } else {
+      EXPECT_EQ(replay_off_proven, global.proven);
+    }
+  }
 }
 
 TEST_P(CoiFuzz, ProvenInvariantsSurviveLocalizedBmc) {
@@ -139,6 +161,55 @@ TEST_P(CoiFuzz, ProvenInvariantsSurviveLocalizedBmc) {
         << p.describe() << " violated at frame " << localized.violation_frame;
     const BmcResult global = bmc_check(nl, env, p, 6);
     EXPECT_EQ(localized.violated, global.violated) << p.describe();
+  }
+}
+
+// The deterministic telemetry of one run, minus the sat.* names: a warm
+// proof-cache run replays outcomes instead of solving, so only its solver
+// work may shrink (docs/telemetry.md, proof cache section).
+std::map<std::string, std::vector<std::uint64_t>> deterministic_without_sat() {
+  namespace tr = trace;
+  std::map<std::string, std::vector<std::uint64_t>> out;
+  const auto keep = [](const std::string& name) { return name.rfind("sat.", 0) != 0; };
+  for (std::size_t i = 0; i < tr::kNumCounters; ++i) {
+    const auto c = static_cast<tr::Counter>(i);
+    if (tr::counter_deterministic(c) && keep(tr::counter_name(c))) {
+      out[tr::counter_name(c)] = {tr::counter_value(c)};
+    }
+  }
+  for (std::size_t i = 0; i < tr::kNumHistograms; ++i) {
+    const auto h = static_cast<tr::Histogram>(i);
+    if (!tr::histogram_deterministic(h) || !keep(tr::histogram_name(h))) continue;
+    const tr::HistogramSnapshot snap = tr::histogram_snapshot(h);
+    std::vector<std::uint64_t>& v = out[tr::histogram_name(h)];
+    v.assign(snap.buckets.begin(), snap.buckets.end());
+    v.insert(v.end(), {snap.count, snap.sum, snap.max});
+  }
+  for (const tr::RoundRecord& r : tr::round_records()) {
+    out["round " + std::to_string(r.round)] = {r.alive_before, r.cex_kills, r.budget_kills,
+                                               r.sat_calls};
+  }
+  return out;
+}
+
+TEST(CoiFuzzTelemetry, WarmRunKeepsColdDeterministicTelemetryWithReplay) {
+  const Netlist nl = test::random_netlist(5, 5, 48, 6, 4);
+  const Environment env;
+  const std::vector<GateProperty> cands = annotate_netlist(nl);
+  for (const bool coi : {false, true}) {
+    SCOPED_TRACE(coi ? "coi" : "global");
+    const std::string cache = cache_path(coi ? 1001 : 1000);
+    std::filesystem::remove(cache);
+    std::map<std::string, std::vector<std::uint64_t>> runs[2];
+    for (auto& run : runs) {
+      trace::begin_run(/*events=*/false);
+      run_arm(nl, env, cands, coi, cache, 2, 48);
+      run = deterministic_without_sat();
+      trace::end_run();
+    }
+    std::filesystem::remove(cache);
+    ASSERT_GT(runs[0]["induction.cex_replays"].at(0), 0u) << "the problem must replay models";
+    EXPECT_EQ(runs[0], runs[1]);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "runtime/procworker.h"
 #include "runtime/supervisor.h"
 #include "test_util.h"
+#include "trace/trace.h"
 #include "util/failpoint.h"
 
 namespace pdat {
@@ -392,19 +393,34 @@ TEST(ProcInduction, ProcessAndThreadModesAreBitIdentical) {
   const Environment env;
   const auto cands = gate_const_candidates(nl);
 
-  InductionOptions thread_opt;
-  thread_opt.batch_size = 8;  // several jobs per round
-  InductionOptions proc_opt = thread_opt;
-  proc_opt.isolation = rt::Isolation::Process;
+  // Both engines replay their models (cex_sim_cycles defaults to 48): global
+  // jobs in batches of 8, COI closure jobs over whole cones. A child's replay
+  // count reaches the parent through the result codec.
+  for (const bool coi : {false, true}) {
+    InductionOptions thread_opt;
+    thread_opt.batch_size = 8;  // several jobs per round
+    thread_opt.coi_localize = coi;
+    InductionOptions proc_opt = thread_opt;
+    proc_opt.isolation = rt::Isolation::Process;
 
-  for (const int threads : {1, 4}) {
-    thread_opt.threads = threads;
-    proc_opt.threads = threads;
-    InductionStats st, sp;
-    const auto pt = prove_invariants(nl, env, cands, thread_opt, &st);
-    const auto pp = prove_invariants(nl, env, cands, proc_opt, &sp);
-    EXPECT_EQ(describe_all(pt), describe_all(pp)) << "threads=" << threads;
-    expect_same_deterministic_stats(st, sp);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(coi ? "coi" : "global") + ", threads=" + std::to_string(threads));
+      thread_opt.threads = threads;
+      proc_opt.threads = threads;
+      InductionStats st, sp;
+      trace::begin_run(/*events=*/false);
+      const auto pt = prove_invariants(nl, env, cands, thread_opt, &st);
+      const std::uint64_t replays_t = trace::counter_value(trace::Counter::InductionCexReplays);
+      trace::end_run();
+      trace::begin_run(/*events=*/false);
+      const auto pp = prove_invariants(nl, env, cands, proc_opt, &sp);
+      const std::uint64_t replays_p = trace::counter_value(trace::Counter::InductionCexReplays);
+      trace::end_run();
+      EXPECT_EQ(describe_all(pt), describe_all(pp));
+      expect_same_deterministic_stats(st, sp);
+      EXPECT_GT(replays_t, 0u);
+      EXPECT_EQ(replays_t, replays_p);
+    }
   }
 }
 
@@ -478,26 +494,31 @@ TEST(ProcInduction, ProofCacheStoresCrossTheProcessBoundary) {
   const Netlist nl = test::random_netlist(33, 8, 160, 14, 6);
   const Environment env;
   const auto cands = gate_const_candidates(nl);
-  const std::string cache = tmp_path("proc_cache.pdatpc");
-  std::filesystem::remove(cache);
+  for (const bool coi : {false, true}) {
+    SCOPED_TRACE(coi ? "coi" : "global");
+    const std::string cache = tmp_path("proc_cache.pdatpc");
+    std::filesystem::remove(cache);
 
-  InductionOptions opt;
-  opt.batch_size = 8;
-  opt.threads = 2;
-  opt.isolation = rt::Isolation::Process;
-  opt.proof_cache_path = cache;
-  InductionStats cold;
-  const auto proven_cold = prove_invariants(nl, env, cands, opt, &cold);
-  EXPECT_GT(cold.cache_stores, 0u)
-      << "child-side cache stores must be shipped back and persisted";
+    InductionOptions opt;
+    opt.batch_size = 8;
+    opt.threads = 2;
+    opt.isolation = rt::Isolation::Process;
+    opt.proof_cache_path = cache;
+    opt.coi_localize = coi;
+    InductionStats cold;
+    const auto proven_cold = prove_invariants(nl, env, cands, opt, &cold);
+    EXPECT_GT(cold.cache_stores, 0u)
+        << "child-side cache stores must be shipped back and persisted";
 
-  // The warm rerun replays every outcome from the cache the children filled.
-  InductionStats warm;
-  const auto proven_warm = prove_invariants(nl, env, cands, opt, &warm);
-  EXPECT_EQ(describe_all(proven_cold), describe_all(proven_warm));
-  expect_same_deterministic_stats(cold, warm);
-  EXPECT_GT(warm.cache_hits, 0u);
-  std::filesystem::remove(cache);
+    // The warm rerun replays every outcome from the cache the children filled.
+    InductionStats warm;
+    const auto proven_warm = prove_invariants(nl, env, cands, opt, &warm);
+    EXPECT_EQ(describe_all(proven_cold), describe_all(proven_warm));
+    expect_same_deterministic_stats(cold, warm);
+    EXPECT_GT(warm.cache_hits, 0u);
+    EXPECT_EQ(warm.cache_misses, 0u);
+    std::filesystem::remove(cache);
+  }
 }
 
 }  // namespace

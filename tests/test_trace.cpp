@@ -318,6 +318,7 @@ TEST(TraceMetrics, MetricsJsonValidAndOnlyRegisteredNames) {
   rec.alive_before = 10;
   rec.cex_kills = 2;
   rec.sat_calls = 1;
+  rec.wall_seconds = 0.5;
   tr::record_round(rec);
   tr::end_run();
 
@@ -371,6 +372,13 @@ TEST(TraceMetrics, MetricsJsonValidAndOnlyRegisteredNames) {
   for (std::size_t s = 0; s < kNumPdatStages; ++s) {
     EXPECT_EQ(stages[s].at("name").string, stage_name(static_cast<PdatStage>(s)));
   }
+  // Round wall time sits in the timing subtree only, one row per round.
+  EXPECT_EQ(key_set(rounds[0]), (std::set<std::string>{"round", "alive_before", "cex_kills",
+                                                       "budget_kills", "sat_calls"}));
+  const auto& timed_rounds = tim.at("induction_rounds").items();
+  ASSERT_EQ(timed_rounds.size(), 1u);
+  EXPECT_EQ(timed_rounds[0].at("round").number, -1);
+  EXPECT_EQ(timed_rounds[0].at("wall_seconds").number, 0.5);
   const auto& hist = det.at("histograms").at("sat.learned_clause_size");
   EXPECT_EQ(hist.at("count").number, 1);
   EXPECT_EQ(hist.at("sum").number, 4);

@@ -5,6 +5,7 @@ Usage:
   validate_telemetry.py --metrics metrics.json [--trace trace.json]
   validate_telemetry.py --trace trace.json
   validate_telemetry.py --normalize trace.json
+  validate_telemetry.py --compare-deterministic cold.metrics.json warm.metrics.json
 
 --metrics validates a "pdat-metrics" document against
 docs/schemas/pdat-metrics.schema.json when the `jsonschema` package is
@@ -20,6 +21,12 @@ name/cat/pid/tid/ts/dur, and integer args.
 line, so two runs of the same configuration can be byte-compared with diff
 regardless of thread count or machine speed. Mirrors
 trace::normalized_events() in src/trace/trace.h.
+
+--compare-deterministic checks that two metrics documents of one problem
+have the same deterministic subtree apart from the sat.* counters and
+histograms: what a warm proof-cache run must keep of the cold run that
+filled the cache (a warm run replays outcomes instead of solving, so only
+its solver work shrinks; docs/telemetry.md, proof cache section).
 
 Exit status: 0 = valid, 1 = validation failure, 2 = usage/IO error.
 """
@@ -155,7 +162,7 @@ def structural_validate_metrics(doc):
     if not isinstance(tim, dict):
         fail("timing", "missing or not an object")
     tim_keys = {"total_wall_seconds", "cpu_seconds", "peak_rss_bytes",
-                "stages", "counters", "histograms"}
+                "stages", "induction_rounds", "counters", "histograms"}
     if set(tim) != tim_keys:
         fail("timing", f"unexpected key set {sorted(tim)}")
     check_number("timing.total_wall_seconds", tim["total_wall_seconds"])
@@ -171,6 +178,16 @@ def structural_validate_metrics(doc):
         if s["name"] != STAGE_NAMES[i]:
             fail(f"{w}.name", f"expected {STAGE_NAMES[i]!r}, got {s['name']!r}")
         check_number(f"{w}.wall_seconds", s["wall_seconds"])
+    timed_rounds = tim["induction_rounds"]
+    if not isinstance(timed_rounds, list) or len(timed_rounds) != len(rounds):
+        fail("timing.induction_rounds", "expected one entry per deterministic round")
+    for i, r in enumerate(timed_rounds):
+        w = f"timing.induction_rounds[{i}]"
+        if not isinstance(r, dict) or set(r) != {"round", "wall_seconds"}:
+            fail(w, f"unexpected shape {r!r}")
+        if r["round"] != rounds[i]["round"]:
+            fail(f"{w}.round", f"expected {rounds[i]['round']!r}, got {r['round']!r}")
+        check_number(f"{w}.wall_seconds", r["wall_seconds"])
     check_counter_map("timing.counters", tim["counters"])
     check_histogram_map("timing.histograms", tim["histograms"])
 
@@ -197,6 +214,31 @@ def validate_metrics(path):
     print(f"{path}: OK ({mode}); label={doc['label']!r}, "
           f"{n_det} deterministic + {n_tim} timing counters, "
           f"{len(doc['deterministic']['induction_rounds'])} induction rounds")
+
+
+def without_sat(det):
+    out = dict(det)
+    for section in ("counters", "histograms"):
+        out[section] = {k: v for k, v in det[section].items() if not k.startswith("sat.")}
+    return out
+
+
+def compare_deterministic(path_a, path_b):
+    a = without_sat(load_json(path_a)["deterministic"])
+    b = without_sat(load_json(path_b)["deterministic"])
+    diffs = []
+    for section in sorted(set(a) | set(b)):
+        va, vb = a.get(section), b.get(section)
+        if isinstance(va, dict) and isinstance(vb, dict):
+            for k in sorted(set(va) | set(vb)):
+                if va.get(k) != vb.get(k):
+                    diffs.append(f"deterministic.{section}.{k}: {va.get(k)!r} vs {vb.get(k)!r}")
+        elif va != vb:
+            diffs.append(f"deterministic.{section}: {va!r} vs {vb!r}")
+    if diffs:
+        raise ValidationError(f"{path_a} and {path_b} differ outside sat.*:\n  "
+                              + "\n  ".join(diffs))
+    print(f"{path_a} vs {path_b}: deterministic subtrees identical apart from sat.*")
 
 
 # ------------------------------------------------------------------ trace --
@@ -266,9 +308,12 @@ def main():
                     help="validate a Chrome-trace capture")
     ap.add_argument("--normalize", metavar="FILE",
                     help="print the sorted (name, args) projection of a trace")
+    ap.add_argument("--compare-deterministic", nargs=2, metavar=("A", "B"),
+                    help="require equal deterministic subtrees apart from sat.*")
     args = ap.parse_args()
-    if not (args.metrics or args.trace or args.normalize):
-        ap.error("nothing to do: pass --metrics, --trace, or --normalize")
+    if not (args.metrics or args.trace or args.normalize or args.compare_deterministic):
+        ap.error("nothing to do: pass --metrics, --trace, --normalize, "
+                 "or --compare-deterministic")
     try:
         if args.normalize:
             normalize_trace(args.normalize)
@@ -276,6 +321,8 @@ def main():
             validate_metrics(args.metrics)
         if args.trace:
             validate_trace(args.trace)
+        if args.compare_deterministic:
+            compare_deterministic(*args.compare_deterministic)
     except ValidationError as e:
         print(f"INVALID: {e}", file=sys.stderr)
         sys.exit(1)
