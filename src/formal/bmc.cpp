@@ -7,6 +7,7 @@
 #include "formal/cnf_encoder.h"
 #include "formal/coi.h"
 #include "sat/dratcheck.h"
+#include "sim/bitsim.h"
 #include "trace/trace.h"
 
 namespace pdat {
@@ -115,6 +116,27 @@ std::optional<CachedBmcVerdict> decode_bmc_verdict(const std::string& p) {
   return v;
 }
 
+/// Looks for a model of env_satisfiable's formula by simulation: `depth`
+/// cycles of the environment's own stimulus from reset, 64 lanes at once.
+/// A lane in which every assume held in every cycle is a concrete execution
+/// of the unrolling — flops with X init load 0, one legal value of their
+/// free variable, and input and cut nets carry concrete values. The drivers
+/// are cloned, so the stimulus later stages draw does not move.
+bool simulated_witness(const Netlist& nl, const Environment& env, int depth) {
+  const Environment local = clone_environment(env);
+  BitSim sim(nl);  // starts in reset
+  Rng rng(0x656e762d77697473ULL);
+  const std::vector<NetId> free = free_input_nets(nl, local);
+  std::uint64_t lanes = ~0ULL;
+  for (int t = 0; t < depth && lanes != 0; ++t) {
+    drive_inputs(local, sim, rng, free);
+    sim.eval();
+    for (NetId a : local.assumes) lanes &= sim.value(a);
+    sim.latch();
+  }
+  return lanes != 0;
+}
+
 }  // namespace
 
 BmcResult bmc_check(const Netlist& nl, const Environment& env, const GateProperty& prop,
@@ -185,12 +207,16 @@ BmcResult bmc_check(const Netlist& nl, const Environment& env, const GatePropert
   return res;
 }
 
-// Deliberately uncertified even in --certify runs: a wrong Unsat here aborts
-// the whole run (fail-safe), and a wrong Sat merely skips the vacuity veto —
-// neither can remove a gate. See DESIGN.md §5.10.
+// A simulated witness is a concrete execution and needs no certificate. The
+// SAT fallback is deliberately uncertified even in --certify runs: a wrong
+// Unsat aborts the whole run (fail-safe), and a wrong Sat merely skips the
+// vacuity veto — neither can remove a gate. See DESIGN.md §5.10.
 bool env_satisfiable(const Netlist& nl, const Environment& env, int depth,
                      double deadline_seconds) {
   trace::Span span("bmc.env_check", {"depth", depth});
+  const bool witness = simulated_witness(nl, env, depth);
+  span.arg("witness", witness ? 1 : 0);
+  if (witness) return true;
   FrameEncoder enc(nl);
   sat::Solver s;
   arm_deadline(s, deadline_seconds);

@@ -57,8 +57,12 @@ BmcResult bmc_check(const Netlist& nl, const Environment& env, const GatePropert
 
 /// True iff there exists an allowed execution of length `depth` from the
 /// initial state (i.e. the environment is non-vacuous up to the bound).
-/// A blown deadline answers true (inconclusive must not masquerade as a
-/// vacuity proof and veto the run).
+/// First simulates `depth` cycles of the environment's stimulus (on cloned
+/// drivers, fixed seed): a lane in which every assume held is such an
+/// execution, and the answer is true without any SAT call. Only when no
+/// lane survives does one SAT query over the unrolled netlist decide; that
+/// is the only way to prove vacuity. A blown deadline answers true
+/// (inconclusive must not masquerade as a vacuity proof and veto the run).
 bool env_satisfiable(const Netlist& nl, const Environment& env, int depth,
                      double deadline_seconds = 0);
 

@@ -191,7 +191,8 @@ constexpr MetricDef kSpanDefs[] = {
      "one job attempt on a worker (args: job, attempt)"},
     {MetricKind::Span, "bmc.check", "span", false,
      "bmc_check call (args: depth, violation_frame when violated)"},
-    {MetricKind::Span, "bmc.env_check", "span", false, "env_satisfiable call (args: depth)"},
+    {MetricKind::Span, "bmc.env_check", "span", false,
+     "env_satisfiable call (args: depth, witness)"},
     {MetricKind::Span, "candidates.sim_filter", "span", false,
      "sim_filter call (args: candidates, restarts, cycles, dropped)"},
     {MetricKind::Span, "candidates.equivalence", "span", false,

@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "cores/cm0/cm0_core.h"
+#include "cores/ibex/ibex_core.h"
 #include "formal/bmc.h"
+#include "formal/candidates.h"
 #include "isa/rv32_isa.h"
 #include "isa/thumb_subsets.h"
+#include "opt/optimizer.h"
+#include "pdat/property_library.h"
 #include "pdat/restrictions.h"
 #include "sim/bitsim.h"
 #include "synth/builder.h"
+#include "trace/trace.h"
 
 namespace pdat {
 namespace {
@@ -154,6 +164,74 @@ TEST(Restrictions, ThumbInterestingMatcherRejectsWidePrefixes) {
   sim.set_port_uniform(*nl.find_input("half"), 0x1840);
   sim.eval();
   EXPECT_EQ(sim.read_port(*nl.find_output("ok"), 0), 1u);
+}
+
+std::vector<std::string> sim_filter_survivors(const Netlist& analysis, const Environment& env,
+                                              const std::vector<GateProperty>& cands,
+                                              const std::vector<NetId>& cut_nets) {
+  SimFilterOptions sopt;
+  sopt.restarts = 1;
+  sopt.cycles = 64;
+  sopt.free_nets = cut_nets;
+  std::vector<std::string> out;
+  for (const GateProperty& p : sim_filter(analysis, env, cands, sopt).survivors)
+    out.push_back(p.describe());
+  return out;
+}
+
+TEST(Restrictions, ShippedEnvironmentsAreWitnessedWithoutSat) {
+  // Every shipped restriction's stimulus satisfies its assumes, so the
+  // vacuity check is answered by simulation alone. It runs on cloned
+  // drivers: a sim filter after the check keeps the survivors of one whose
+  // drivers never saw it.
+  cores::IbexCore ibex = cores::build_ibex();
+  opt::optimize(ibex.netlist);
+  ibex.refresh_handles();
+  cores::Cm0Core cm0 = cores::build_cm0();
+  opt::optimize(cm0.netlist);
+  const std::vector<NetId> instr_q = ibex.instr_reg_q;
+
+  struct Shipped {
+    const char* name;
+    const Netlist& design;
+    std::function<RestrictionResult(Netlist&)> restrict_fn;
+  };
+  const Shipped shipped[] = {
+      {"ibex cutpoint rv32i", ibex.netlist,
+       [&](Netlist& a) {
+         return restrict_isa_cutpoint(a, instr_q, isa::rv32_subset_named("rv32i"));
+       }},
+      {"ibex cutpoint rv32imc", ibex.netlist,
+       [&](Netlist& a) {
+         return restrict_isa_cutpoint(a, instr_q, isa::rv32_subset_named("rv32imc"));
+       }},
+      {"ibex port rv32i", ibex.netlist,
+       [](Netlist& a) {
+         return restrict_isa_port(a, "imem_rdata", isa::rv32_subset_named("rv32i"));
+       }},
+      {"cm0 thumb port", cm0.netlist,
+       [](Netlist& a) {
+         return restrict_thumb_port(a, "imem_rdata", isa::thumb_subset_interesting());
+       }},
+  };
+  for (const Shipped& sh : shipped) {
+    SCOPED_TRACE(sh.name);
+    Netlist analysis = sh.design;
+    const RestrictionResult r = sh.restrict_fn(analysis);
+    const Environment untouched = clone_environment(r.env);
+
+    trace::begin_run(/*events=*/false);
+    EXPECT_TRUE(env_satisfiable(analysis, r.env, 3));
+    EXPECT_EQ(trace::counter_value(trace::Counter::SatSolveCalls), 0u);
+    trace::end_run();
+
+    PropertyLibraryOptions plopt;
+    plopt.cell_limit = static_cast<CellId>(sh.design.num_cells_raw());
+    plopt.excluded_nets = r.cut_nets;
+    const std::vector<GateProperty> cands = annotate_netlist(analysis, plopt);
+    EXPECT_EQ(sim_filter_survivors(analysis, r.env, cands, r.cut_nets),
+              sim_filter_survivors(analysis, untouched, cands, r.cut_nets));
+  }
 }
 
 }  // namespace
